@@ -141,19 +141,17 @@ def cross_modal_attention(f1, f2, p1, p2, w, shift, route="qv"):
     f1, f2 = as_tensor(f1), as_tensor(f2)
     if f1.shape != f2.shape:
         raise ShapeError(f"modalities differ in shape: {f1.shape} vs {f2.shape}")
-    tok1 = window_partition(f1, w, shift)
-    tok2 = window_partition(f2, w, shift)
-    own1 = AttentionParams(p1.wq, p2.wk, p1.wv, p1.wo, p1.heads)
-    own2 = AttentionParams(p2.wq, p1.wk, p2.wv, p2.wo, p2.heads)
-    from_2 = mhsa(tok2, tok1, tok2, own2)  # Q, V from modality 2; K from 1
-    from_1 = mhsa(tok1, tok2, tok1, own1)  # Q, V from modality 1; K from 2
-    if route == "qv":
-        out1, out2 = from_2, from_1
-    elif route == "k":
-        out1, out2 = from_1, from_2
-    else:
+    if route not in ("qv", "k"):
         raise ValueError(f"unknown route {route!r}")
-    return window_merge(out1), window_merge(out2)
+    toks = (window_partition(f1, w, shift), window_partition(f2, w, shift))
+    ps = (p1, p2)
+    # outs[m]: Q, V and wo from modality m, K from the other one.
+    outs = [
+        mhsa(toks[m], toks[1 - m], toks[m], replace(ps[m], wk=ps[1 - m].wk)) for m in (0, 1)
+    ]
+    if route == "qv":
+        outs.reverse()
+    return tuple(window_merge(o) for o in outs)
 
 
 def channel_attention(x, p):
@@ -186,14 +184,14 @@ def frequency_interaction(low1, low2, high1, high2, p1, p2):
     Stream 1 = [CA(low1); SA(high2)] along batch (band order LL, LH, HL, HH),
     stream 2 = [CA(low2); SA(high1)]. Stream m is gated by its own params.
     """
-    low1, low2 = as_tensor(low1), as_tensor(low2)
-    high1, high2 = as_tensor(high1), as_tensor(high2)
-    b = low1.shape[0]
-    for name, high in (("high1", high1), ("high2", high2)):
+    lows = as_tensor(low1), as_tensor(low2)
+    highs = as_tensor(high1), as_tensor(high2)
+    b = lows[0].shape[0]
+    for m, high in enumerate(highs, 1):
         if high.shape[0] != 3 * b:
-            raise ShapeError(
-                f"{name} batch {high.shape[0]} is not 3x the low batch {b}"
-            )
-    s1 = batch_concat(channel_attention(low1, p1), spatial_attention(high2, p1))
-    s2 = batch_concat(channel_attention(low2, p2), spatial_attention(high1, p2))
-    return s1, s2
+            raise ShapeError(f"high{m} batch {high.shape[0]} is not 3x the low batch {b}")
+    ps = (p1, p2)
+    return tuple(
+        batch_concat(channel_attention(lows[m], ps[m]), spatial_attention(highs[1 - m], ps[m]))
+        for m in (0, 1)
+    )

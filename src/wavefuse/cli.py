@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 input/validation error, 3 weights/format error,
 """
 
 import argparse
-import struct
 import sys
 
 import numpy as np
@@ -14,48 +13,12 @@ import numpy as np
 from . import fusionopt, losses, metrics, network
 from .errors import FormatError, PnmParseError, ShapeError, WavefuseError
 from .imageio import load_pnm, rgb_to_ycbcr, save_pnm, to_tensor, YCbCrImage, ycbcr_to_rgb
-from .wavelet import dwt2, SubbandSet
-
-BANDS_MAGIC = b"WBN1"
+from .wavelet import dwt2, save_bands
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_FORMAT = 3
 EXIT_INTERNAL = 4
-
-
-def save_bands(subbands, path):
-    """Lossless .bands container: magic, u32 H', u32 W', then the LL, LH, HL,
-    HH planes as little-endian f64."""
-    ll = subbands.ll[0, 0]
-    h, w = ll.shape
-    with open(path, "wb") as fh:
-        fh.write(BANDS_MAGIC + struct.pack("<II", h, w))
-        for plane in (subbands.ll, subbands.lh, subbands.hl, subbands.hh):
-            fh.write(np.ascontiguousarray(plane[0, 0], dtype="<f8").tobytes())
-
-
-def load_bands(path):
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 12:
-        raise FormatError(f"bands file truncated: {len(buf)} bytes")
-    if buf[:4] != BANDS_MAGIC:
-        raise FormatError(f"bad magic {buf[:4]!r}, expected {BANDS_MAGIC!r}")
-    h, w = struct.unpack_from("<II", buf, 4)
-    need = 12 + 4 * h * w * 8
-    if len(buf) != need:
-        raise FormatError(f"bands file has {len(buf)} bytes, expected {need}")
-    planes = []
-    pos = 12
-    for _ in range(4):
-        planes.append(
-            np.frombuffer(buf[pos : pos + h * w * 8], dtype="<f8")
-            .astype(np.float64)
-            .reshape(1, 1, h, w)
-        )
-        pos += h * w * 8
-    return SubbandSet(ll=planes[0], lh=planes[1], hl=planes[2], hh=planes[3])
 
 
 def _load_luma(path):
@@ -65,6 +28,21 @@ def _load_luma(path):
         ycc = rgb_to_ycbcr(img)
         return ycc.y, ycc
     return img, None
+
+
+def _load_pair(args):
+    """Load the two input lumas and the chroma that --color-from names."""
+    ya, cca = _load_luma(args.input_a)
+    yb, ccb = _load_luma(args.input_b)
+    if ya.shape != yb.shape:
+        raise ShapeError(f"input sizes differ: {ya.shape} vs {yb.shape}")
+    return ya, yb, cca if args.color_from == "a" else ccb
+
+
+def smooth_image(rng, size=32):
+    """Seeded smooth [0.1, 0.9] image; keeps gradcheck away from L1 kinks."""
+    g = losses.gaussian_window(size=7, sigma=2.0)
+    return np.clip(losses.filt(rng.uniform(0, 1, (size, size)), g) * 0.8 + 0.1, 0, 1)
 
 
 def _config_from_args(args):
@@ -125,38 +103,23 @@ def _emit_color(fused_y, chroma, out_path):
 
 
 def cmd_fuse(args):
-    ya, cca = _load_luma(args.input_a)
-    yb, ccb = _load_luma(args.input_b)
-    if ya.shape != yb.shape:
-        print(
-            f"error: input sizes differ: {ya.shape} vs {yb.shape}", file=sys.stderr
-        )
-        return EXIT_INPUT
+    ya, yb, chroma = _load_pair(args)
     cfg = _config_from_args(args)
-    weights = network.load_weights(args.weights)
-    network.validate_weights(weights, cfg)
-    fused = network.forward(ya, yb, weights, cfg)
-    chroma = cca if args.color_from == "a" else ccb
+    fused = network.forward(ya, yb, network.load_weights(args.weights), cfg)
     _emit_color(fused, chroma, args.output)
     return EXIT_OK
 
 
 def cmd_fuse_opt(args):
-    ya, cca = _load_luma(args.input_a)
-    yb, ccb = _load_luma(args.input_b)
-    if ya.shape != yb.shape:
-        print(f"error: input sizes differ: {ya.shape} vs {yb.shape}", file=sys.stderr)
-        return EXIT_INPUT
+    ya, yb, chroma = _load_pair(args)
     cfg = fusionopt.OptConfig(
         max_iters=args.iters,
         step=args.step,
         weights=_loss_weights(args),
         init=args.init,
         tolerance=args.tol,
-        seed=args.seed,
     )
     fused, trace = fusionopt.optimize(ya, yb, cfg)
-    chroma = cca if args.color_from == "a" else ccb
     _emit_color(fused, chroma, args.output)
     if args.trace:
         with open(args.trace, "w", newline="") as fh:
@@ -213,13 +176,7 @@ def cmd_analyze_bands(args):
 
 def cmd_gradcheck(args):
     rng = np.random.default_rng(args.seed)
-    size = args.size
-    g = losses.gaussian_window(size=7, sigma=2.0)
-
-    def smooth():
-        return np.clip(losses.filt(rng.uniform(0, 1, (size, size)), g) * 0.8 + 0.1, 0, 1)
-
-    f, a, b = smooth(), smooth(), smooth()
+    f, a, b = (smooth_image(rng, args.size) for _ in range(3))
     err = losses.gradcheck(f, a, b, seed=args.seed)
     print(f"max relative gradient error: {err:.3e}")
     return EXIT_OK if err < 1e-4 else EXIT_INTERNAL
@@ -266,10 +223,7 @@ def cmd_selftest(args):
     check("q_w self-fusion", abs(metrics.q_w(img, img, img) - 1) < 1e-9)
     check("fmi self-fusion", metrics.fmi(img, img, img) == 1.0)
 
-    g = losses.gaussian_window(size=7, sigma=2.0)
-    f = np.clip(losses.filt(rng.uniform(0, 1, (32, 32)), g) * 0.8 + 0.1, 0, 1)
-    a = np.clip(losses.filt(rng.uniform(0, 1, (32, 32)), g) * 0.8 + 0.1, 0, 1)
-    b = np.clip(losses.filt(rng.uniform(0, 1, (32, 32)), g) * 0.8 + 0.1, 0, 1)
+    f, a, b = (smooth_image(rng) for _ in range(3))
     check("gradient check", losses.gradcheck(f, a, b, seed=7) < 1e-4)
 
     if failures:
@@ -313,7 +267,6 @@ def build_parser():
                    help="relative loss-change stopping tolerance (default 1e-7)")
     p.add_argument("--init", choices=("average", "source_a", "source_b"),
                    default="average", help="initial fused image (default average)")
-    p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
     p.add_argument("--trace", help="write per-iteration loss CSV here")
     _add_loss_flags(p)
     p.set_defaults(func=cmd_fuse_opt)

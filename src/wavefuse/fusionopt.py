@@ -19,7 +19,6 @@ class OptConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     init: str = "average"  # or "source_a" / "source_b"
     tolerance: float = 1e-7
-    seed: int = 0
 
     def __post_init__(self):
         if self.step <= 0:

@@ -25,6 +25,7 @@ from .wavelet import dwt2, iwt2, pack_high, unpack
 
 MAGIC = b"WFW1"
 VERSION = 1
+SLOPE = 0.1  # negative slope of every Leaky-ReLU
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,7 @@ class NetConfig:
     heads: int = 4
     reduction: int = 4
     mlp_ratio: int = 2
-    slope: float = 0.1
     cross_route: str = "qv"  # "qv": queries/values cross modalities, "k": keys
-    final_activation: str = "linear"  # or "leaky"
 
     def __post_init__(self):
         if self.channels % self.heads:
@@ -53,8 +52,6 @@ class NetConfig:
             raise ShapeError(f"need at least one block, got {self.blocks}")
         if self.cross_route not in ("qv", "k"):
             raise ValueError(f"unknown cross_route {self.cross_route!r}")
-        if self.final_activation not in ("linear", "leaky"):
-            raise ValueError(f"unknown final_activation {self.final_activation!r}")
 
 
 def weight_schema(cfg):
@@ -148,7 +145,7 @@ def _from_tokens(tok, shape):
     return np.ascontiguousarray(tok.reshape(b, h, w, c).transpose(0, 3, 1, 2))
 
 
-def feature_extract(img, weights, branch, cfg):
+def feature_extract(img, weights, branch):
     """Three 3x3 convs (1 -> C -> C -> C), Leaky-ReLU after each."""
     x = T.as_tensor(img)
     for layer in (1, 2, 3):
@@ -158,18 +155,23 @@ def feature_extract(img, weights, branch, cfg):
             weights[f"fe{branch}.{layer}.bias"],
             padding=1,
         )
-        x = T.leaky_relu(x, cfg.slope)
+        x = T.leaky_relu(x, SLOPE)
     return x
 
 
-def _attn_params(weights, prefix, heads):
-    return AttentionParams(
-        wq=weights[f"{prefix}.wq"],
-        wk=weights[f"{prefix}.wk"],
-        wv=weights[f"{prefix}.wv"],
-        wo=weights[f"{prefix}.wo"],
-        heads=heads,
+def _band_attention(x1, x2, index, band, weights, cfg):
+    """Cross-modal attention over one band of block `index`; stream m uses the
+    block{index}.s{m}.attn.{band} projections. Odd blocks shift the windows by
+    half a window."""
+    p1, p2 = (
+        AttentionParams(
+            *(weights[f"block{index}.s{m}.attn.{band}.{w}"] for w in ("wq", "wk", "wv", "wo")),
+            heads=cfg.heads,
+        )
+        for m in (1, 2)
     )
+    shift = (index % 2) * (cfg.window // 2)
+    return cross_modal_attention(x1, x2, p1, p2, cfg.window, shift, cfg.cross_route)
 
 
 def _cbam_params(weights, prefix):
@@ -187,8 +189,8 @@ def _pad_to_multiple(x, mult):
     ph = (-h) % mult
     pw = (-w) % mult
     if ph == 0 and pw == 0:
-        return x, (h, w)
-    return np.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="symmetric"), (h, w)
+        return x
+    return np.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="symmetric")
 
 
 def _layer_norm_nchw(x, gain, shift):
@@ -206,45 +208,23 @@ def enhance_block(f1, f2, index, weights, cfg):
     f1, f2 = T.as_tensor(f1), T.as_tensor(f2)
     if f1.shape != f2.shape:
         raise ShapeError(f"stream shapes differ: {f1.shape} vs {f2.shape}")
-    w = cfg.window
-    shift = (index % 2) * (w // 2)
-    f1p, orig = _pad_to_multiple(f1, 2 * w)
-    f2p, _ = _pad_to_multiple(f2, 2 * w)
+    h, wd = f1.shape[2:]
+    prefixes = [f"block{index}.s{m}" for m in (1, 2)]
 
-    p1, p2 = "block%d.s1" % index, "block%d.s2" % index
-    spa1 = _layer_norm_nchw(f1p, weights[f"{p1}.ln1.gain"], weights[f"{p1}.ln1.shift"])
-    spa2 = _layer_norm_nchw(f2p, weights[f"{p2}.ln1.gain"], weights[f"{p2}.ln1.shift"])
-
-    s1, s2 = dwt2(spa1), dwt2(spa2)
-    low_a1, low_a2 = cross_modal_attention(
-        s1.ll,
-        s2.ll,
-        _attn_params(weights, f"{p1}.attn.low", cfg.heads),
-        _attn_params(weights, f"{p2}.attn.low", cfg.heads),
-        w,
-        shift,
-        cfg.cross_route,
-    )
-    high_a1, high_a2 = cross_modal_attention(
-        pack_high(s1),
-        pack_high(s2),
-        _attn_params(weights, f"{p1}.attn.high", cfg.heads),
-        _attn_params(weights, f"{p2}.attn.high", cfg.heads),
-        w,
-        shift,
-        cfg.cross_route,
-    )
-    fre1, fre2 = frequency_interaction(
-        low_a1,
-        low_a2,
-        high_a1,
-        high_a2,
-        _cbam_params(weights, f"{p1}.cbam"),
-        _cbam_params(weights, f"{p2}.cbam"),
+    padded, subs = [], []
+    for f, p in zip((f1, f2), prefixes):
+        fp = _pad_to_multiple(f, 2 * cfg.window)
+        padded.append(fp)
+        spa = _layer_norm_nchw(fp, weights[f"{p}.ln1.gain"], weights[f"{p}.ln1.shift"])
+        subs.append(dwt2(spa))
+    lows = _band_attention(subs[0].ll, subs[1].ll, index, "low", weights, cfg)
+    highs = _band_attention(pack_high(subs[0]), pack_high(subs[1]), index, "high", weights, cfg)
+    fres = frequency_interaction(
+        *lows, *highs, *(_cbam_params(weights, f"{p}.cbam") for p in prefixes)
     )
 
     outs = []
-    for packed, fp, p in ((fre1, f1p, p1), (fre2, f2p, p2)):
+    for packed, fp, p in zip(fres, padded, prefixes):
         b = fp.shape[0]
         rec = iwt2(unpack(packed[:b], packed[b:]))
         fprime = rec + fp
@@ -253,11 +233,10 @@ def enhance_block(f1, f2, index, weights, cfg):
                 fprime, weights[f"{p}.ln2.gain"], weights[f"{p}.ln2.shift"]
             )
         )
-        hid = T.leaky_relu(tok @ weights[f"{p}.mlp.w1"].T + weights[f"{p}.mlp.b1"], cfg.slope)
+        hid = T.leaky_relu(tok @ weights[f"{p}.mlp.w1"].T + weights[f"{p}.mlp.b1"], SLOPE)
         mlp_out = hid @ weights[f"{p}.mlp.w2"].T + weights[f"{p}.mlp.b2"]
-        outs.append(_from_tokens(mlp_out, shape) + fprime)
-    h, wd = orig
-    return outs[0][:, :, :h, :wd], outs[1][:, :, :h, :wd]
+        outs.append((_from_tokens(mlp_out, shape) + fprime)[:, :, :h, :wd])
+    return tuple(outs)
 
 
 def forward(i1, i2, weights, cfg):
@@ -267,8 +246,7 @@ def forward(i1, i2, weights, cfg):
     if i1.shape != i2.shape:
         raise ShapeError(f"input sizes differ: {i1.shape} vs {i2.shape}")
     validate_weights(weights, cfg)
-    f1 = feature_extract(to_tensor(i1), weights, 1, cfg)
-    f2 = feature_extract(to_tensor(i2), weights, 2, cfg)
+    f1, f2 = (feature_extract(to_tensor(img), weights, m) for m, img in ((1, i1), (2, i2)))
     for i in range(cfg.blocks):
         f1, f2 = enhance_block(f1, f2, i, weights, cfg)
     x = T.channel_concat(f1, f2)
@@ -276,9 +254,9 @@ def forward(i1, i2, weights, cfg):
         x = T.conv2d(
             x, weights[f"fuse.{layer}.weight"], weights[f"fuse.{layer}.bias"], padding=1
         )
-        if layer < 3 or cfg.final_activation == "leaky":
-            x = T.leaky_relu(x, cfg.slope)
-    return from_tensor(np.clip(x, 0.0, 1.0))
+        if layer < 3:
+            x = T.leaky_relu(x, SLOPE)
+    return from_tensor(x)
 
 
 def save_weights(weights, path):

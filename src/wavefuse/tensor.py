@@ -1,4 +1,4 @@
-"""Dense (B, C, H, W) float64 kernels: convolution, pooling, softmax, layer norm.
+"""Dense (B, C, H, W) float64 kernels: convolution, softmax, layer norm.
 
 All functions are pure and deterministic; arrays are never mutated in place.
 The canonical carrier is a contiguous numpy float64 array in (batch, channel,
@@ -70,18 +70,6 @@ def layer_norm(x, gain, shift, eps=1e-5):
     return (x - mu) / np.sqrt(var + eps) * gain + shift
 
 
-def pool_global(x, kind):
-    """Spatial mean or max per (b, c), returned as (B, C, 1, 1)."""
-    x = as_tensor(x)
-    if x.shape[2] * x.shape[3] == 0:
-        raise ShapeError(f"empty spatial extent in shape {x.shape}")
-    if kind == "avg":
-        return x.mean(axis=(2, 3), keepdims=True)
-    if kind == "max":
-        return x.max(axis=(2, 3), keepdims=True)
-    raise ValueError(f"unknown pooling kind {kind!r}")
-
-
 def leaky_relu(x, slope):
     x = np.asarray(x, dtype=np.float64)
     return np.where(x >= 0.0, x, slope * x)
@@ -114,10 +102,3 @@ def batch_concat(a, b):
         raise ShapeError(f"batch_concat mismatch: {a.shape} vs {b.shape}")
     return np.concatenate([a, b], axis=0)
 
-
-def batch_split(x, first):
-    """Split along batch into (x[:first], x[first:])."""
-    x = as_tensor(x)
-    if not 0 <= first <= x.shape[0]:
-        raise ShapeError(f"cannot split batch {x.shape[0]} at {first}")
-    return x[:first], x[first:]

@@ -2,14 +2,18 @@
 
 Applied independently to every (batch, channel) slice. The orthonormal scaling
 (factor 1/2 per 2x2 block) preserves energy exactly, which the tests rely on.
+The lossless `.bands` file of one decomposed plane is written and read here too.
 """
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import FormatError, ShapeError
 from .tensor import as_tensor
+
+BANDS_MAGIC = b"WBN1"
 
 
 @dataclass(frozen=True)
@@ -81,3 +85,37 @@ def unpack(packed_low, packed_high):
     if high.shape[1:] != low.shape[1:]:
         raise ShapeError(f"subband shape mismatch: {low.shape} vs {high.shape}")
     return SubbandSet(ll=low, lh=high[:b], hl=high[b : 2 * b], hh=high[2 * b :])
+
+
+def save_bands(subbands, path):
+    """Lossless .bands container: magic, u32 H', u32 W', then the LL, LH, HL,
+    HH planes as little-endian f64."""
+    ll = subbands.ll[0, 0]
+    h, w = ll.shape
+    with open(path, "wb") as fh:
+        fh.write(BANDS_MAGIC + struct.pack("<II", h, w))
+        for plane in (subbands.ll, subbands.lh, subbands.hl, subbands.hh):
+            fh.write(np.ascontiguousarray(plane[0, 0], dtype="<f8").tobytes())
+
+
+def load_bands(path):
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    if len(buf) < 12:
+        raise FormatError(f"bands file truncated: {len(buf)} bytes")
+    if buf[:4] != BANDS_MAGIC:
+        raise FormatError(f"bad magic {buf[:4]!r}, expected {BANDS_MAGIC!r}")
+    h, w = struct.unpack_from("<II", buf, 4)
+    need = 12 + 4 * h * w * 8
+    if len(buf) != need:
+        raise FormatError(f"bands file has {len(buf)} bytes, expected {need}")
+    planes = []
+    pos = 12
+    for _ in range(4):
+        planes.append(
+            np.frombuffer(buf[pos : pos + h * w * 8], dtype="<f8")
+            .astype(np.float64)
+            .reshape(1, 1, h, w)
+        )
+        pos += h * w * 8
+    return SubbandSet(ll=planes[0], lh=planes[1], hl=planes[2], hh=planes[3])

@@ -6,13 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from wavefuse import losses
-
-
-def smooth_image(rng, size=32):
-    """Seeded smooth [0.1, 0.9] image; keeps gradcheck away from L1 kinks."""
-    g = losses.gaussian_window(size=7, sigma=2.0)
-    return np.clip(losses.filt(rng.uniform(0, 1, (size, size)), g) * 0.8 + 0.1, 0, 1)
+from wavefuse.cli import smooth_image  # noqa: F401  (tests import it from here)
 
 
 @pytest.fixture

@@ -510,7 +510,7 @@ def enhance_block_naive(f1, f2, index, weights, cfg):
             weights[f"{p}.mlp.b1"],
             weights[f"{p}.mlp.w2"],
             weights[f"{p}.mlp.b2"],
-            cfg.slope,
+            0.1,
         )
         outs.append((mlp + fprime)[:, :, :h, :wd])
     return outs[0], outs[1]
@@ -524,7 +524,7 @@ def forward_naive(i1, i2, weights, cfg):
         for layer in (1, 2, 3):
             kernel = weights[f"fe{m}.{layer}.weight"]
             bias = weights[f"fe{m}.{layer}.bias"]
-            x = leaky_naive(conv2d_naive(x, kernel, bias, 1), cfg.slope)
+            x = leaky_naive(conv2d_naive(x, kernel, bias, 1), 0.1)
         feats.append(x)
     f1, f2 = feats
     for index in range(cfg.blocks):
@@ -533,8 +533,8 @@ def forward_naive(i1, i2, weights, cfg):
     for layer in (1, 2, 3):
         kernel, bias = weights[f"fuse.{layer}.weight"], weights[f"fuse.{layer}.bias"]
         x = conv2d_naive(x, kernel, bias, 1)
-        if layer < 3 or cfg.final_activation == "leaky":
-            x = leaky_naive(x, cfg.slope)
+        if layer < 3:
+            x = leaky_naive(x, 0.1)
     _, _, h, w = x.shape
     out = np.zeros((h, w))
     for i in range(h):

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import smooth_image
 from oracles import fmi_naive, forward_naive, qabf_naive, qw_naive
-from wavefuse import cli, network
+from wavefuse import cli, network, wavelet
 from wavefuse.attention import (
     AttentionParams,
     cross_modal_attention,
@@ -211,8 +211,8 @@ def test_criterion_10_serialization(tmp_path):
 
     subs = dwt2(np.random.default_rng(6).uniform(0, 1, (1, 1, 16, 18)))
     bpath = tmp_path / "x.bands"
-    cli.save_bands(subs, bpath)
-    loaded = cli.load_bands(bpath)
+    wavelet.save_bands(subs, bpath)
+    loaded = wavelet.load_bands(bpath)
     for band in ("ll", "lh", "hl", "hh"):
         ok &= bool(np.array_equal(getattr(loaded, band), getattr(subs, band)))
 

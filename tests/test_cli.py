@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import smooth_image
-from wavefuse import cli, network
+from wavefuse import cli, network, wavelet
 from wavefuse.errors import FormatError
 from wavefuse.imageio import load_pnm, save_pnm, to_tensor
 from wavefuse.wavelet import dwt2
@@ -119,7 +119,7 @@ class TestDecompose:
         src = write_image(tmp_path / "r.pgm", np.round(img * 255) / 255)
         out_dir = tmp_path / "bands"
         assert cli.main(["decompose", src, str(out_dir)]) == 0
-        subs = cli.load_bands(out_dir / "r.bands")
+        subs = wavelet.load_bands(out_dir / "r.bands")
         want = dwt2(to_tensor(load_pnm(src)))
         for band in ("ll", "lh", "hl", "hh"):
             assert np.array_equal(getattr(subs, band), getattr(want, band))
@@ -133,26 +133,26 @@ class TestBandsContainer:
     def test_roundtrip(self, tmp_path, rng):
         subs = dwt2(rng.uniform(0, 1, (1, 1, 10, 12)))
         path = tmp_path / "x.bands"
-        cli.save_bands(subs, path)
-        back = cli.load_bands(path)
+        wavelet.save_bands(subs, path)
+        back = wavelet.load_bands(path)
         for band in ("ll", "lh", "hl", "hh"):
             assert np.array_equal(getattr(back, band), getattr(subs, band))
 
     def test_bad_magic(self, tmp_path, rng):
         subs = dwt2(rng.uniform(0, 1, (1, 1, 4, 4)))
         path = tmp_path / "x.bands"
-        cli.save_bands(subs, path)
+        wavelet.save_bands(subs, path)
         data = bytearray(path.read_bytes())
         data[:4] = b"NOPE"
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="magic"):
-            cli.load_bands(path)
+            wavelet.load_bands(path)
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "x.bands"
         path.write_bytes(b"WBN1\x02")
         with pytest.raises(FormatError, match="truncated"):
-            cli.load_bands(path)
+            wavelet.load_bands(path)
 
 
 class TestMetricsAndBands:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -75,14 +77,14 @@ class TestFeatureExtract:
     def test_zero_weights_zero_features(self, rng):
         w = net.zero_weights(SMALL)
         img = to_tensor(rng.uniform(0, 1, (8, 8)))
-        out = net.feature_extract(img, w, 1, SMALL)
+        out = net.feature_extract(img, w, 1)
         assert out.shape == (1, 8, 8, 8)
         assert np.abs(out).max() == 0.0
 
     def test_bias_propagates(self, rng):
         w = net.zero_weights(SMALL)
         w["fe1.3.bias"] = np.full(8, -2.0)
-        out = net.feature_extract(to_tensor(rng.uniform(0, 1, (4, 4))), w, 1, SMALL)
+        out = net.feature_extract(to_tensor(rng.uniform(0, 1, (4, 4))), w, 1)
         # final leaky(0.1) maps -2 to -0.2 everywhere
         assert np.allclose(out, -0.2)
 
@@ -159,21 +161,28 @@ class TestForward:
         b = rng.uniform(0, 1, (16, 16))
         assert np.array_equal(net.forward(a, b, w, SMALL), net.forward(a, b, w, SMALL))
 
-    def test_swap_symmetry_with_tied_streams(self, rng):
+    def test_modality_swap_symmetry(self, rng):
+        # Swapping the inputs equals swapping the streams' weights: fe1<->fe2,
+        # .s1.<->.s2., and the two input-channel halves of the fusion head.
+        pairs = {"fe1.": "fe2.", "fe2.": "fe1.", ".s1.": ".s2.", ".s2.": ".s1."}
+
+        def swapped_name(name):
+            for old, new in pairs.items():
+                if old in name:
+                    return name.replace(old, new)
+            return name
+
         w = net.init_weights(SMALL, 0)
-        for name in list(w):
-            if ".s2." in name:
-                w[name] = w[name.replace(".s2.", ".s1.")].copy()
-            if name.startswith("fe2."):
-                w[name] = w["fe1." + name[4:]].copy()
-        # tie the head's two C-channel halves so concat order cancels
-        k = w["fuse.1.weight"]
-        w["fuse.1.weight"] = np.concatenate([k[:, :8], k[:, :8]], axis=1)
-        a = rng.uniform(0, 1, (16, 16))
-        b = rng.uniform(0, 1, (16, 16))
-        assert np.allclose(
-            net.forward(a, b, w, SMALL), net.forward(b, a, w, SMALL), atol=1e-12
-        )
+        sw = {swapped_name(name): value for name, value in w.items()}
+        k, c = w["fuse.1.weight"], SMALL.channels
+        sw["fuse.1.weight"] = np.concatenate([k[:, c:], k[:, :c]], axis=1)
+        for route in ("qv", "k"):
+            cfg = replace(SMALL, cross_route=route)
+            for h, wd in ((13, 9), (33, 17)):
+                a = rng.uniform(0, 1, (h, wd))
+                b = rng.uniform(0, 1, (h, wd))
+                dev = np.abs(net.forward(a, b, w, cfg) - net.forward(b, a, sw, cfg)).max()
+                assert dev <= 1e-12, (route, h, wd, dev)
 
     def test_matches_loop_oracle(self, rng):
         w = net.init_weights(SMALL, 0)
