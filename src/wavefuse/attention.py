@@ -174,7 +174,7 @@ def spatial_attention(x, p):
     """Sigmoid spatial gate from channel mean/max maps, broadcast over channels."""
     x = as_tensor(x)
     maps = np.stack([x.mean(axis=1), x.max(axis=1)], axis=1)
-    gate = sigmoid(conv2d(maps, p.sa_w, p.sa_b, padding=3))
+    gate = sigmoid(conv2d(maps, p.sa_w, p.sa_b))
     return x * gate
 
 

@@ -34,8 +34,6 @@ def _load_pair(args):
     """Load the two input lumas and the chroma that --color-from names."""
     ya, cca = _load_luma(args.input_a)
     yb, ccb = _load_luma(args.input_b)
-    if ya.shape != yb.shape:
-        raise ShapeError(f"input sizes differ: {ya.shape} vs {yb.shape}")
     return ya, yb, cca if args.color_from == "a" else ccb
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, WavefuseError
+from .imageio import check_images
 from .losses import LossReport, LossWeights, loss_total
 
 MAX_HALVINGS = 20
@@ -51,10 +52,7 @@ def optimize(a, b, cfg=OptConfig()):
     Each step projects back onto [0, 1]; the step is halved (up to 20 times)
     until the loss does not increase, so the recorded trace is non-increasing.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ShapeError(f"source shapes differ: {a.shape} vs {b.shape}")
+    a, b = check_images(a, b)
     if min(a.shape) < 16:
         raise ShapeError(f"optimize needs at least 16x16 images, got {a.shape}")
 
@@ -70,33 +68,28 @@ def optimize(a, b, cfg=OptConfig()):
         raise WavefuseError(f"non-finite initial loss {report.total}")
     reports = [report]
     stop = "max_iters"
-    iterations = 0
     for _ in range(cfg.max_iters):
         step = cfg.step
-        accepted = None
         for _ in range(MAX_HALVINGS + 1):
             cand = np.clip(f - step * report.grad, 0.0, 1.0)
             cand_report = loss_total(cand, a, b, cfg.weights)
             if not np.isfinite(cand_report.total):
                 raise WavefuseError(
                     f"non-finite loss {cand_report.total} at iteration "
-                    f"{iterations}; trace so far has {len(reports)} entries"
+                    f"{len(reports) - 1}; trace so far has {len(reports)} entries"
                 )
             if cand_report.total <= report.total:
-                accepted = (cand, cand_report)
                 break
             step /= 2.0
-        if accepted is None:
+        else:
             stop = "converged"
             break
         prev_total = report.total
-        f, report = accepted
+        f, report = cand, cand_report
         reports.append(report)
-        iterations += 1
-        if prev_total > 0 and (prev_total - report.total) / prev_total < cfg.tolerance:
+        if prev_total == 0.0 or (
+            prev_total > 0 and (prev_total - report.total) / prev_total < cfg.tolerance
+        ):
             stop = "converged"
             break
-        if prev_total == 0.0:
-            stop = "converged"
-            break
-    return f, OptTrace(reports=reports, iterations=iterations, stop_reason=stop)
+    return f, OptTrace(reports=reports, iterations=len(reports) - 1, stop_reason=stop)

@@ -1,4 +1,5 @@
-"""Binary PGM/PPM I/O, [0,1] normalization, and the BT.601 YCbCr round trip.
+"""Binary PGM/PPM I/O, [0,1] normalization, the BT.601 YCbCr round trip, and
+the image check that every library entry point runs on its inputs.
 
 Grayscale images are plain (H, W) float64 arrays with values in [0, 1];
 RGB images are (H, W, 3). PNM is the only supported container: it is
@@ -130,6 +131,22 @@ def ycbcr_to_rgb(ycbcr):
     b = y + 2.0 * (1.0 - _KB) * cb
     g = (y - _KR * r - _KB * b) / (1.0 - _KR - _KB)
     return np.clip(np.stack([r, g, b], axis=-1), 0.0, 1.0)
+
+
+def check_images(*images):
+    """Return the images as float64 arrays.
+
+    Raises ShapeError unless all share one (H, W) shape and ValueError if any
+    holds a NaN or an Inf.
+    """
+    out = [np.asarray(img, dtype=np.float64) for img in images]
+    shapes = [img.shape for img in out]
+    if out[0].ndim != 2 or len(set(shapes)) != 1:
+        raise ShapeError(f"expected (H,W) images of one shape, got {shapes}")
+    for img in out:
+        if not np.isfinite(img).all():
+            raise ValueError("image holds NaN or Inf values")
+    return out
 
 
 def to_tensor(img):

@@ -12,6 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
+from .imageio import check_images
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 SOBEL_Y = SOBEL_X.T.copy()
@@ -20,6 +21,9 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
+
+GRADCHECK_H = 1e-6
+GRADCHECK_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -45,14 +49,6 @@ class LossReport:
     l_text: float
     l_ssim: float
     grad: np.ndarray | None = field(default=None, repr=False)
-
-
-def _check_pair(f, a):
-    f = np.asarray(f, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    if f.shape != a.shape or f.ndim != 2:
-        raise ShapeError(f"image shapes differ: {f.shape} vs {a.shape}")
-    return f, a
 
 
 def _reflect_idx(n, pad):
@@ -99,25 +95,26 @@ def grad_abs(x):
 
 def loss_intensity(f, a, b, alpha1=1.0, alpha2=1.0):
     """Mean L1 pull toward both sources; subgradient sign(0) = 0."""
-    f, a = _check_pair(f, a)
-    f, b = _check_pair(f, b)
+    f, a, b = check_images(f, a, b)
     n = f.size
     value = alpha1 * np.abs(f - a).sum() / n + alpha2 * np.abs(f - b).sum() / n
     grad = (alpha1 * np.sign(f - a) + alpha2 * np.sign(f - b)) / n
     return value, grad
 
 
+def _texture_terms(f, a, b):
+    """Sobel responses of f and the residual |grad f| - max(|grad a|, |grad b|)."""
+    sxf = filt(f, SOBEL_X)
+    syf = filt(f, SOBEL_Y)
+    return sxf, syf, np.abs(sxf) + np.abs(syf) - np.maximum(grad_abs(a), grad_abs(b))
+
+
 def loss_texture(f, a, b):
     """Mean L1 distance between |grad f| and the pointwise max of the source
     gradient magnitudes; gradient via the Sobel adjoints."""
-    f, a = _check_pair(f, a)
-    f, b = _check_pair(f, b)
+    f, a, b = check_images(f, a, b)
     n = f.size
-    sxf = filt(f, SOBEL_X)
-    syf = filt(f, SOBEL_Y)
-    gf = np.abs(sxf) + np.abs(syf)
-    target = np.maximum(grad_abs(a), grad_abs(b))
-    diff = gf - target
+    sxf, syf, diff = _texture_terms(f, a, b)
     value = np.abs(diff).sum() / n
     up = np.sign(diff) / n
     grad = filt_adjoint(up * np.sign(sxf), SOBEL_X, f.shape) + filt_adjoint(
@@ -133,20 +130,27 @@ def gaussian_window(size=SSIM_WINDOW, sigma=SSIM_SIGMA):
     return k / k.sum()
 
 
-def ssim_map(x, y):
-    """Per-pixel SSIM with an 11x11 Gaussian window (sigma 1.5, L = 1)."""
-    x, y = _check_pair(x, y)
-    if min(x.shape) < SSIM_WINDOW:
-        raise ShapeError(f"image {x.shape} smaller than SSIM window {SSIM_WINDOW}")
-    g = gaussian_window()
+def _ssim_terms(x, y, g):
+    """Window means of x and y and the factors of the SSIM map a1*a2 / (b1*b2)."""
     mu_x = filt(x, g)
     mu_y = filt(y, g)
     var_x = filt(x * x, g) - mu_x**2
     var_y = filt(y * y, g) - mu_y**2
     cov = filt(x * y, g) - mu_x * mu_y
-    num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (mu_x**2 + mu_y**2 + SSIM_C1) * (var_x + var_y + SSIM_C2)
-    return num / den
+    a1 = 2.0 * mu_x * mu_y + SSIM_C1
+    a2 = 2.0 * cov + SSIM_C2
+    b1 = mu_x**2 + mu_y**2 + SSIM_C1
+    b2 = var_x + var_y + SSIM_C2
+    return mu_x, mu_y, a1, a2, b1, b2
+
+
+def ssim_map(x, y):
+    """Per-pixel SSIM with an 11x11 Gaussian window (sigma 1.5, L = 1)."""
+    x, y = check_images(x, y)
+    if min(x.shape) < SSIM_WINDOW:
+        raise ShapeError(f"image {x.shape} smaller than SSIM window {SSIM_WINDOW}")
+    _, _, a1, a2, b1, b2 = _ssim_terms(x, y, gaussian_window())
+    return a1 * a2 / (b1 * b2)
 
 
 def ssim(x, y):
@@ -157,15 +161,7 @@ def _ssim_value_grad(f, a):
     """Mean SSIM(f, a) and its closed-form derivative w.r.t. f."""
     g = gaussian_window()
     n = f.size
-    mu_f = filt(f, g)
-    mu_a = filt(a, g)
-    var_f = filt(f * f, g) - mu_f**2
-    var_a = filt(a * a, g) - mu_a**2
-    cov = filt(f * a, g) - mu_f * mu_a
-    a1 = 2.0 * mu_f * mu_a + SSIM_C1
-    a2 = 2.0 * cov + SSIM_C2
-    b1 = mu_f**2 + mu_a**2 + SSIM_C1
-    b2 = var_f + var_a + SSIM_C2
+    mu_f, mu_a, a1, a2, b1, b2 = _ssim_terms(f, a, g)
     value = float((a1 * a2 / (b1 * b2)).mean())
     # Partials of the per-pixel map w.r.t. the filtered statistics.
     d_mu = 2.0 * mu_a * a2 / (b1 * b2) - 2.0 * mu_f * a1 * a2 / (b1**2 * b2)
@@ -183,8 +179,7 @@ def _ssim_value_grad(f, a):
 
 def loss_ssim(f, a, b, gamma1=0.5, gamma2=0.5):
     """gamma1*(1 - SSIM(f,a)) + gamma2*(1 - SSIM(f,b)) with analytic gradient."""
-    f, a = _check_pair(f, a)
-    f, b = _check_pair(f, b)
+    f, a, b = check_images(f, a, b)
     va, ga = _ssim_value_grad(f, a)
     vb, gb = _ssim_value_grad(f, b)
     value = gamma1 * (1.0 - va) + gamma2 * (1.0 - vb)
@@ -222,9 +217,7 @@ def kink_free_mask(f, a, b, h):
     mask = (np.abs(f - a) > margin) & (np.abs(f - b) > margin)
     # A single-pixel change moves each Sobel response in a 3x3 neighborhood by
     # at most 2h and the magnitude sum by at most 8h; guard with slack.
-    sxf = filt(f, SOBEL_X)
-    syf = filt(f, SOBEL_Y)
-    diff = np.abs(sxf) + np.abs(syf) - np.maximum(grad_abs(a), grad_abs(b))
+    sxf, syf, diff = _texture_terms(f, a, b)
     tex_margin = 40.0 * h
     tex_ok = (
         (np.abs(sxf) > tex_margin)
@@ -235,29 +228,29 @@ def kink_free_mask(f, a, b, h):
     return mask
 
 
-def gradcheck(f, a, b, w=LossWeights(), h=1e-6, samples=64, seed=0):
+def gradcheck(f, a, b, w=LossWeights(), seed=0):
     """Max relative error between the analytic gradient and central finite
-    differences at kink-free pixels. Raises if too few safe pixels exist."""
-    f, a = _check_pair(f, a)
-    f, b = _check_pair(f, b)
+    differences (step GRADCHECK_H) at GRADCHECK_SAMPLES kink-free pixels.
+    Raises if too few safe pixels exist."""
+    f, a, b = check_images(f, a, b)
     analytic = loss_total(f, a, b, w).grad
-    idx = np.argwhere(kink_free_mask(f, a, b, h))
-    if len(idx) < samples:
+    idx = np.argwhere(kink_free_mask(f, a, b, GRADCHECK_H))
+    if len(idx) < GRADCHECK_SAMPLES:
         raise ValueError(
-            f"only {len(idx)} kink-free pixels available, need {samples}"
+            f"only {len(idx)} kink-free pixels available, need {GRADCHECK_SAMPLES}"
         )
     rng = np.random.default_rng(seed)
-    picks = idx[rng.choice(len(idx), size=samples, replace=False)]
+    picks = idx[rng.choice(len(idx), size=GRADCHECK_SAMPLES, replace=False)]
     worst = 0.0
     for i, j in picks:
         fp = f.copy()
-        fp[i, j] = f[i, j] + h
+        fp[i, j] = f[i, j] + GRADCHECK_H
         fm = f.copy()
-        fm[i, j] = f[i, j] - h
+        fm[i, j] = f[i, j] - GRADCHECK_H
         num = (
             loss_total(fp, a, b, w, with_grad=False).total
             - loss_total(fm, a, b, w, with_grad=False).total
-        ) / (2.0 * h)
+        ) / (2.0 * GRADCHECK_H)
         ana = analytic[i, j]
         if max(abs(ana), abs(num)) <= 1e-9:
             # Both sides are below the finite-difference rounding floor

@@ -12,8 +12,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
-from .imageio import to_tensor
-from .losses import SOBEL_X, SOBEL_Y, filt, ssim, ssim_map
+from .imageio import check_images, to_tensor
+from .losses import SOBEL_X, SOBEL_Y, filt, ssim
 from .wavelet import dwt2
 
 QABF_GAMMA_G = 0.9994
@@ -41,15 +41,6 @@ class MetricReport:
     q_abf: float
     q_w: float
     fmi: float
-
-
-def _check_triple(a, b, f):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    if not (a.shape == b.shape == f.shape) or a.ndim != 2:
-        raise ShapeError(f"triple shapes differ: {a.shape}, {b.shape}, {f.shape}")
-    return a, b, f
 
 
 def _edge_strength_orientation(x):
@@ -87,7 +78,7 @@ def q_abf(a, b, f):
     Flat triples (no edge energy anywhere) preserve everything vacuously and
     score 1.
     """
-    a, b, f = _check_triple(a, b, f)
+    a, b, f = check_images(a, b, f)
     if min(a.shape) < 3:
         raise ShapeError(f"q_abf needs at least 3x3 images, got {a.shape}")
     ga, ta = _edge_strength_orientation(a)
@@ -106,7 +97,9 @@ def _window_stats(x):
         -1, QW_WINDOW * QW_WINDOW
     )
     mean = win.mean(axis=1)
-    var = win.var(axis=1)
+    # A window whose samples are all equal has variance exactly 0; win.var
+    # leaves rounding residue there that would pass for signal in Q0.
+    var = np.where(win.max(axis=1) == win.min(axis=1), 0.0, win.var(axis=1))
     return win, mean, var
 
 
@@ -119,15 +112,14 @@ def _q0(win_x, mean_x, var_x, win_y, mean_y, var_y):
     ok = den != 0.0
     out[ok] = num[ok] / den[ok]
     # Degenerate windows: equal content is perfect, anything else scores 0.
-    if not ok.all():
-        same = np.abs(win_x - win_y).max(axis=1) == 0.0
-        out[~ok] = np.where(same[~ok], 1.0, 0.0)
+    bad = ~ok
+    out[bad] = np.abs(win_x[bad] - win_y[bad]).max(axis=1) == 0.0
     return out
 
 
 def q_w(a, b, f):
     """Piella's index: saliency-weighted Q0 over 8x8 sliding windows."""
-    a, b, f = _check_triple(a, b, f)
+    a, b, f = check_images(a, b, f)
     if min(a.shape) < QW_WINDOW:
         raise ShapeError(f"q_w needs at least {QW_WINDOW}x{QW_WINDOW}, got {a.shape}")
     win_a, mean_a, var_a = _window_stats(a)
@@ -137,13 +129,10 @@ def q_w(a, b, f):
     q0_bf = _q0(win_b, mean_b, var_b, win_f, mean_f, var_f)
     sal = var_a + var_b
     lam = np.where(sal > 0.0, var_a / np.where(sal == 0.0, 1.0, sal), 0.5)
+    q = lam * q0_af + (1.0 - lam) * q0_bf
     c = np.maximum(var_a, var_b)
     total = c.sum()
-    if total == 0.0:
-        c = np.full_like(c, 1.0 / len(c))
-    else:
-        c = c / total
-    return float((c * (lam * q0_af + (1.0 - lam) * q0_bf)).sum())
+    return float(q.mean() if total == 0.0 else (c * q).sum() / total)
 
 
 def _entropy(p):
@@ -166,7 +155,7 @@ def _normalized_mi(x, y):
 def fmi(a, b, f):
     """Mean normalized mutual information between gradient-magnitude features
     of the fused image and each source."""
-    a, b, f = _check_triple(a, b, f)
+    a, b, f = check_images(a, b, f)
     feat_a, _ = _edge_strength_orientation(a)
     feat_b, _ = _edge_strength_orientation(b)
     feat_f, _ = _edge_strength_orientation(f)
@@ -175,7 +164,7 @@ def fmi(a, b, f):
 
 def score(a, b, f):
     """All metrics for one (source a, source b, fused) triple."""
-    a, b, f = _check_triple(a, b, f)
+    a, b, f = check_images(a, b, f)
     return MetricReport(
         ssim_a=ssim(f, a),
         ssim_b=ssim(f, b),
@@ -196,7 +185,7 @@ def band_correlation_study(a, b, f):
     fused detail group: the matched detail band for detail-band rows, and the
     mean over the three fused detail bands for the LL row.
     """
-    a, b, f = _check_triple(a, b, f)
+    a, b, f = check_images(a, b, f)
     if min(a.shape) < 22 or a.shape[0] % 2 or a.shape[1] % 2:
         raise ShapeError(f"band study needs even dims >= 22x22, got {a.shape}")
     subs = {

@@ -20,7 +20,7 @@ from .attention import (
     frequency_interaction,
 )
 from .errors import FormatError, ShapeError
-from .imageio import from_tensor, to_tensor
+from .imageio import check_images, from_tensor, to_tensor
 from .wavelet import dwt2, iwt2, pack_high, unpack
 
 MAGIC = b"WFW1"
@@ -150,10 +150,7 @@ def feature_extract(img, weights, branch):
     x = T.as_tensor(img)
     for layer in (1, 2, 3):
         x = T.conv2d(
-            x,
-            weights[f"fe{branch}.{layer}.weight"],
-            weights[f"fe{branch}.{layer}.bias"],
-            padding=1,
+            x, weights[f"fe{branch}.{layer}.weight"], weights[f"fe{branch}.{layer}.bias"]
         )
         x = T.leaky_relu(x, SLOPE)
     return x
@@ -228,11 +225,8 @@ def enhance_block(f1, f2, index, weights, cfg):
         b = fp.shape[0]
         rec = iwt2(unpack(packed[:b], packed[b:]))
         fprime = rec + fp
-        tok, shape = _to_tokens(
-            _layer_norm_nchw(
-                fprime, weights[f"{p}.ln2.gain"], weights[f"{p}.ln2.shift"]
-            )
-        )
+        tok, shape = _to_tokens(fprime)
+        tok = T.layer_norm(tok, weights[f"{p}.ln2.gain"], weights[f"{p}.ln2.shift"])
         hid = T.leaky_relu(tok @ weights[f"{p}.mlp.w1"].T + weights[f"{p}.mlp.b1"], SLOPE)
         mlp_out = hid @ weights[f"{p}.mlp.w2"].T + weights[f"{p}.mlp.b2"]
         outs.append((_from_tokens(mlp_out, shape) + fprime)[:, :, :h, :wd])
@@ -241,19 +235,14 @@ def enhance_block(f1, f2, index, weights, cfg):
 
 def forward(i1, i2, weights, cfg):
     """Fuse two grayscale images into one; deterministic for fixed weights."""
-    i1 = np.asarray(i1, dtype=np.float64)
-    i2 = np.asarray(i2, dtype=np.float64)
-    if i1.shape != i2.shape:
-        raise ShapeError(f"input sizes differ: {i1.shape} vs {i2.shape}")
+    i1, i2 = check_images(i1, i2)
     validate_weights(weights, cfg)
     f1, f2 = (feature_extract(to_tensor(img), weights, m) for m, img in ((1, i1), (2, i2)))
     for i in range(cfg.blocks):
         f1, f2 = enhance_block(f1, f2, i, weights, cfg)
     x = T.channel_concat(f1, f2)
     for layer in (1, 2, 3):
-        x = T.conv2d(
-            x, weights[f"fuse.{layer}.weight"], weights[f"fuse.{layer}.bias"], padding=1
-        )
+        x = T.conv2d(x, weights[f"fuse.{layer}.weight"], weights[f"fuse.{layer}.bias"])
         if layer < 3:
             x = T.leaky_relu(x, SLOPE)
     return from_tensor(x)

@@ -19,11 +19,9 @@ def as_tensor(x):
     return a
 
 
-def conv2d(x, kernel, bias, padding):
-    """Cross-correlation with zero padding. kernel is (Cout, Cin, k, k), k odd.
-
-    padding must be (k-1)//2 so the spatial size is preserved.
-    """
+def conv2d(x, kernel, bias):
+    """Cross-correlation with zero padding. kernel is (Cout, Cin, k, k), k odd;
+    the (k-1)//2 padding preserves the spatial size."""
     x = as_tensor(x)
     kernel = np.asarray(kernel, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
@@ -32,15 +30,14 @@ def conv2d(x, kernel, bias, padding):
     cout, cin, k, _ = kernel.shape
     if k % 2 == 0:
         raise ShapeError(f"kernel size must be odd, got {k}")
-    if padding != (k - 1) // 2:
-        raise ShapeError(f"padding must be (k-1)/2 = {(k - 1) // 2}, got {padding}")
     if x.shape[1] != cin:
         raise ShapeError(
             f"input channels {x.shape} do not match kernel {kernel.shape}"
         )
     if bias.shape != (cout,):
         raise ShapeError(f"bias shape {bias.shape} does not match Cout {cout}")
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = sliding_window_view(xp, (k, k), axis=(2, 3))
     out = np.einsum("bihwuv,oiuv->bohw", win, kernel, optimize=True)
     return out + bias[None, :, None, None]

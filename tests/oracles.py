@@ -221,16 +221,20 @@ def qw_naive(a, b, f, win=8):
             wb = b[i : i + win, j : j + win].ravel()
             wf = f[i : i + win, j : j + win].ravel()
 
+            def var(x):
+                # A constant window has variance exactly 0, not x.var()'s residue.
+                return 0.0 if x.max() == x.min() else x.var()
+
             def q0(x, y):
                 mx, my = x.mean(), y.mean()
-                vx, vy = x.var(), y.var()
+                vx, vy = var(x), var(y)
                 cov = (x * y).mean() - mx * my
                 den = (vx + vy) * (mx * mx + my * my)
                 if den == 0:
                     return 1.0 if np.abs(x - y).max() == 0 else 0.0
                 return 4 * cov * mx * my / den
 
-            sa, sb = wa.var(), wb.var()
+            sa, sb = var(wa), var(wb)
             lam = sa / (sa + sb) if sa + sb > 0 else 0.5
             terms.append((max(sa, sb), lam * q0(wa, wf) + (1 - lam) * q0(wb, wf)))
     total_c = sum(c for c, _ in terms)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import smooth_image
+from wavefuse import fusionopt, losses, metrics, network
 from wavefuse.errors import PnmParseError, ShapeError
 from wavefuse import imageio as io
 
@@ -112,3 +114,41 @@ class TestTensorBridge:
     def test_shape_error(self, rng):
         with pytest.raises(ShapeError):
             io.from_tensor(rng.standard_normal((1, 2, 3, 3)))
+
+
+NET = network.NetConfig(channels=4, blocks=1, window=4, heads=2, reduction=2)
+
+# Every library entry point that takes images, called on (source a, source b, fused).
+ENTRY_POINTS = {
+    "forward": lambda a, b, f: network.forward(a, b, network.init_weights(NET, 0), NET),
+    "optimize": lambda a, b, f: fusionopt.optimize(a, b, fusionopt.OptConfig(max_iters=1)),
+    "loss_total": lambda a, b, f: losses.loss_total(f, a, b),
+    "ssim": lambda a, b, f: losses.ssim(f, a),
+    "q_abf": metrics.q_abf,
+    "q_w": metrics.q_w,
+    "fmi": metrics.fmi,
+    "score": metrics.score,
+    "band_correlation_study": metrics.band_correlation_study,
+}
+
+
+class TestCheckImages:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_entry_points_reject_non_finite(self, entry, bad):
+        a = smooth_image(np.random.default_rng(0), 24)
+        b = a[::-1].copy()
+        f = (a + b) / 2.0
+        a[3, 4] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            ENTRY_POINTS[entry](a, b, f)
+
+    def test_returns_float64_arrays(self):
+        x, y = io.check_images([[0, 1]], np.zeros((1, 2), dtype=np.float32))
+        assert x.dtype == y.dtype == np.float64
+        assert np.array_equal(x, [[0.0, 1.0]])
+
+    @pytest.mark.parametrize("shapes", [[(4, 4), (4, 5)], [(4, 4, 3), (4, 4, 3)]])
+    def test_shape_error(self, shapes):
+        with pytest.raises(ShapeError):
+            io.check_images(*(np.zeros(s) for s in shapes))

@@ -55,8 +55,20 @@ class TestQw:
         assert M.q_w(a, b, f) == pytest.approx(qw_naive(a, b, f), abs=1e-9)
 
     def test_flat_triple(self):
+        for c in (0.1, 0.3, 0.55, 0.7):
+            for size in (9, 32):
+                z = np.full((size, size), c)
+                assert M.q_w(z, z, z) == 1.0, (c, size)
+
+    def test_distinct_flat_images_score_zero(self):
         z = np.full((16, 16), 0.3)
-        assert M.q_w(z, z, z) == pytest.approx(1.0, abs=1e-12)
+        assert M.q_w(z, z, np.full((16, 16), 0.7)) == 0.0
+
+    def test_flat_sources_noisy_patch_matches_oracle(self):
+        a = np.full((32, 32), 0.7)
+        f = a.copy()
+        f[12:16, 12:16] += np.random.default_rng(3).uniform(-0.2, 0.2, (4, 4))
+        assert M.q_w(a, a.copy(), f) == pytest.approx(qw_naive(a, a, f), abs=1e-9)
 
     def test_noise_scores_below_structured(self):
         a, b, _ = triple(6)

@@ -12,7 +12,7 @@ class TestConv2d:
     def test_zero_input_gives_bias(self):
         x = np.zeros((1, 1, 3, 3))
         k = np.arange(9.0).reshape(1, 1, 3, 3)
-        out = T.conv2d(x, k, np.array([2.5]), padding=1)
+        out = T.conv2d(x, k, np.array([2.5]))
         assert np.array_equal(out, np.full((1, 1, 3, 3), 2.5))
 
     def test_identity_kernel(self, rng):
@@ -20,20 +20,20 @@ class TestConv2d:
         k = np.zeros((3, 3, 1, 1))
         for c in range(3):
             k[c, c, 0, 0] = 1.0
-        out = T.conv2d(x, k, np.zeros(3), padding=0)
+        out = T.conv2d(x, k, np.zeros(3))
         assert np.array_equal(out, x)
 
     def test_all_ones_center_value(self):
         # 3x3 input 0..8, all-ones kernel: center output is the full sum.
         x = np.arange(9.0).reshape(1, 1, 3, 3)
-        out = T.conv2d(x, np.ones((1, 1, 3, 3)), np.zeros(1), padding=1)
+        out = T.conv2d(x, np.ones((1, 1, 3, 3)), np.zeros(1))
         assert out[0, 0, 1, 1] == 36.0
 
     def test_matches_naive(self, rng):
         x = rng.standard_normal((2, 3, 6, 5))
         k = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        got = T.conv2d(x, k, b, padding=1)
+        got = T.conv2d(x, k, b)
         want = conv2d_naive(x, k, b, 1)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -42,20 +42,15 @@ class TestConv2d:
         y = rng.standard_normal((1, 2, 8, 8))
         k = rng.standard_normal((3, 2, 3, 3))
         zero_b = np.zeros(3)
-        lhs = T.conv2d(2.0 * x + 3.0 * y, k, zero_b, 1)
-        rhs = 2.0 * T.conv2d(x, k, zero_b, 1) + 3.0 * T.conv2d(y, k, zero_b, 1)
+        lhs = T.conv2d(2.0 * x + 3.0 * y, k, zero_b)
+        rhs = 2.0 * T.conv2d(x, k, zero_b) + 3.0 * T.conv2d(y, k, zero_b)
         assert np.abs(lhs - rhs).max() < 1e-9
 
     def test_channel_mismatch_names_shapes(self, rng):
         x = rng.standard_normal((1, 2, 4, 4))
         k = rng.standard_normal((1, 3, 3, 3))
         with pytest.raises(ShapeError, match=r"\(1, 2, 4, 4\)"):
-            T.conv2d(x, k, np.zeros(1), 1)
-
-    def test_wrong_padding_rejected(self, rng):
-        x = rng.standard_normal((1, 1, 4, 4))
-        with pytest.raises(ShapeError):
-            T.conv2d(x, np.ones((1, 1, 3, 3)), np.zeros(1), padding=0)
+            T.conv2d(x, k, np.zeros(1))
 
 
 class TestSoftmax:
