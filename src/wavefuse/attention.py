@@ -10,14 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import (
-    as_tensor,
-    batch_concat,
-    conv2d,
-    relu,
-    sigmoid,
-    softmax_rows,
-)
+from .tensor import as_tensor, conv2d, sigmoid, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -164,7 +157,7 @@ def channel_attention(x, p):
     mx = x.max(axis=(2, 3))
 
     def mlp(v):
-        return relu(v @ p.ca_w1.T) @ p.ca_w2.T
+        return np.maximum(v @ p.ca_w1.T, 0.0) @ p.ca_w2.T
 
     gate = sigmoid(mlp(avg) + mlp(mx))
     return x * gate[:, :, None, None]
@@ -181,8 +174,9 @@ def spatial_attention(x, p):
 def frequency_interaction(low1, low2, high1, high2, p1, p2):
     """Recombine attended bands with a cross-modal swap of the detail bands.
 
-    Stream 1 = [CA(low1); SA(high2)] along batch (band order LL, LH, HL, HH),
-    stream 2 = [CA(low2); SA(high1)]. Stream m is gated by its own params.
+    Stream 1 = (CA(low1), SA(high2)), stream 2 = (CA(low2), SA(high1)), each a
+    (low, packed high) pair as wavelet.unpack takes it. Stream m is gated by
+    its own params.
     """
     lows = as_tensor(low1), as_tensor(low2)
     highs = as_tensor(high1), as_tensor(high2)
@@ -192,6 +186,5 @@ def frequency_interaction(low1, low2, high1, high2, p1, p2):
             raise ShapeError(f"high{m} batch {high.shape[0]} is not 3x the low batch {b}")
     ps = (p1, p2)
     return tuple(
-        batch_concat(channel_attention(lows[m], ps[m]), spatial_attention(highs[1 - m], ps[m]))
-        for m in (0, 1)
+        (channel_attention(lows[m], ps[m]), spatial_attention(highs[1 - m], ps[m])) for m in (0, 1)
     )

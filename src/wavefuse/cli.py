@@ -6,6 +6,8 @@ Exit codes: 0 success, 2 input/validation error, 3 weights/format error,
 """
 
 import argparse
+import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -37,58 +39,77 @@ def _load_pair(args):
     return ya, yb, cca if args.color_from == "a" else ccb
 
 
+def _load_triple(args):
+    """The lumas of the two sources and the fused image."""
+    return (_load_luma(path)[0] for path in (args.input_a, args.input_b, args.fused))
+
+
 def smooth_image(rng, size=32):
     """Seeded smooth [0.1, 0.9] image; keeps gradcheck away from L1 kinks."""
     g = losses.gaussian_window(size=7, sigma=2.0)
     return np.clip(losses.filt(rng.uniform(0, 1, (size, size)), g) * 0.8 + 0.1, 0, 1)
 
 
-def _config_from_args(args):
-    return network.NetConfig(
-        channels=args.channels,
-        blocks=args.blocks,
-        window=args.window,
-        heads=args.heads,
-        reduction=args.reduction,
-        mlp_ratio=args.mlp_ratio,
-        cross_route=args.route,
-    )
+def _from_args(cls, args, **given):
+    """Build config dataclass `cls` from the parsed flags named after its
+    fields; `given` supplies the fields that have no flag."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name not in given}
+    return cls(**flags, **given)
 
 
-def _add_config_flags(p):
-    p.add_argument("--channels", type=int, default=16, help="feature channels (default 16)")
-    p.add_argument("--blocks", type=int, default=4, help="enhance block count (default 4)")
-    p.add_argument("--window", type=int, default=8, help="attention window size (default 8)")
-    p.add_argument("--heads", type=int, default=4, help="attention heads (default 4)")
-    p.add_argument("--reduction", type=int, default=4, help="channel-gate reduction (default 4)")
-    p.add_argument("--mlp-ratio", type=int, default=2, help="MLP expansion ratio (default 2)")
+def _add_field_flags(p, cls, specs):
+    """One flag per (field, help[, flag]) spec: its dest is the field, its
+    default and type come from `cls`, and its spelling defaults to --field."""
+    for field, text, *flag in specs:
+        default = getattr(cls, field)
+        p.add_argument(
+            *(flag or ["--" + field.replace("_", "-")]),
+            dest=field,
+            type=type(default),
+            default=default,
+            help=f"{text} (default %(default)s)",
+        )
+
+
+# Weight shapes: fuse reads these from the weights file.
+SHAPE_FLAGS = (
+    ("channels", "feature channels"),
+    ("blocks", "enhance block count"),
+    ("reduction", "channel-gate reduction"),
+    ("mlp_ratio", "MLP expansion ratio"),
+)
+ATTENTION_FLAGS = (
+    ("window", "attention window size"),
+    ("heads", "attention heads"),
+    ("cross_route", "which projections cross modalities in band attention, qv or k", "--route"),
+)
+LOSS_FLAGS = (
+    ("alpha", "intensity term weight"),
+    ("beta", "texture term weight"),
+    ("gamma", "SSIM term weight"),
+    ("alpha1", "intensity pull toward a"),
+    ("alpha2", "intensity pull toward b"),
+    ("gamma1", "SSIM weight toward a"),
+    ("gamma2", "SSIM weight toward b"),
+)
+OPT_FLAGS = (
+    ("max_iters", "max iterations", "--iters"),
+    ("step", "initial step size"),
+    ("tolerance", "relative loss-change stopping tolerance", "--tol"),
+    ("init", "initial fused image: average, source_a or source_b"),
+)
+
+
+def _add_pair_args(p):
+    """The two inputs, the output and the chroma source of fuse and fuse-opt."""
+    p.add_argument("input_a")
+    p.add_argument("input_b")
+    p.add_argument("-o", "--output", required=True, help="fused image output path")
     p.add_argument(
-        "--route",
-        choices=("qv", "k"),
-        default="qv",
-        help="which projections cross modalities in band attention (default qv)",
-    )
-
-
-def _add_loss_flags(p):
-    p.add_argument("--alpha", type=float, default=2.0, help="intensity term weight (default 2)")
-    p.add_argument("--beta", type=float, default=10.0, help="texture term weight (default 10)")
-    p.add_argument("--gamma", type=float, default=1.0, help="SSIM term weight (default 1)")
-    p.add_argument("--alpha1", type=float, default=1.0, help="intensity pull toward a (default 1)")
-    p.add_argument("--alpha2", type=float, default=1.0, help="intensity pull toward b (default 1)")
-    p.add_argument("--gamma1", type=float, default=0.5, help="SSIM weight toward a (default 0.5)")
-    p.add_argument("--gamma2", type=float, default=0.5, help="SSIM weight toward b (default 0.5)")
-
-
-def _loss_weights(args):
-    return losses.LossWeights(
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        alpha1=args.alpha1,
-        alpha2=args.alpha2,
-        gamma1=args.gamma1,
-        gamma2=args.gamma2,
+        "--color-from",
+        choices=("a", "b"),
+        default="a",
+        help="which input supplies chroma for RGB output (default %(default)s)",
     )
 
 
@@ -102,21 +123,15 @@ def _emit_color(fused_y, chroma, out_path):
 
 def cmd_fuse(args):
     ya, yb, chroma = _load_pair(args)
-    cfg = _config_from_args(args)
-    fused = network.forward(ya, yb, network.load_weights(args.weights), cfg)
-    _emit_color(fused, chroma, args.output)
+    weights = network.load_weights(args.weights)
+    cfg = network.config_from_weights(weights, args.window, args.heads, args.cross_route)
+    _emit_color(network.forward(ya, yb, weights, cfg), chroma, args.output)
     return EXIT_OK
 
 
 def cmd_fuse_opt(args):
     ya, yb, chroma = _load_pair(args)
-    cfg = fusionopt.OptConfig(
-        max_iters=args.iters,
-        step=args.step,
-        weights=_loss_weights(args),
-        init=args.init,
-        tolerance=args.tol,
-    )
+    cfg = _from_args(fusionopt.OptConfig, args, weights=_from_args(losses.LossWeights, args))
     fused, trace = fusionopt.optimize(ya, yb, cfg)
     _emit_color(fused, chroma, args.output)
     if args.trace:
@@ -130,12 +145,7 @@ def cmd_fuse_opt(args):
 
 
 def cmd_decompose(args):
-    import os
-
     y, _ = _load_luma(args.input)
-    if y.shape[0] % 2 or y.shape[1] % 2:
-        print(f"error: decompose needs even dimensions, got {y.shape}", file=sys.stderr)
-        return EXIT_INPUT
     subs = dwt2(to_tensor(y))
     os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.input))[0]
@@ -150,20 +160,12 @@ def cmd_decompose(args):
 
 
 def cmd_metrics(args):
-    a, _ = _load_luma(args.input_a)
-    b, _ = _load_luma(args.input_b)
-    f, _ = _load_luma(args.fused)
-    report = metrics.score(a, b, f)
-    sys.stdout.write(metrics.metrics_csv(report))
+    sys.stdout.write(metrics.metrics_csv(metrics.score(*_load_triple(args))))
     return EXIT_OK
 
 
 def cmd_analyze_bands(args):
-    a, _ = _load_luma(args.input_a)
-    b, _ = _load_luma(args.input_b)
-    f, _ = _load_luma(args.fused)
-    rows = metrics.band_correlation_study(a, b, f)
-    text = metrics.study_csv(rows)
+    text = metrics.study_csv(metrics.band_correlation_study(*_load_triple(args)))
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -181,7 +183,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_init_weights(args):
-    cfg = _config_from_args(args)
+    cfg = _from_args(network.NetConfig, args)
     network.save_weights(network.init_weights(cfg, args.seed), args.output)
     return EXIT_OK
 
@@ -240,33 +242,16 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fuse", help="fuse two images with the network")
-    p.add_argument("input_a")
-    p.add_argument("input_b")
+    _add_pair_args(p)
     p.add_argument("--weights", required=True, help="weights file path")
-    p.add_argument("-o", "--output", required=True, help="fused image output path")
-    p.add_argument(
-        "--color-from",
-        choices=("a", "b"),
-        default="a",
-        help="which input supplies chroma for RGB output (default a)",
-    )
-    _add_config_flags(p)
+    _add_field_flags(p, network.NetConfig, ATTENTION_FLAGS)
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("fuse-opt", help="fuse by direct loss minimization")
-    p.add_argument("input_a")
-    p.add_argument("input_b")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--color-from", choices=("a", "b"), default="a",
-                   help="which input supplies chroma for RGB output (default a)")
-    p.add_argument("--iters", type=int, default=500, help="max iterations (default 500)")
-    p.add_argument("--step", type=float, default=0.05, help="initial step size (default 0.05)")
-    p.add_argument("--tol", type=float, default=1e-7,
-                   help="relative loss-change stopping tolerance (default 1e-7)")
-    p.add_argument("--init", choices=("average", "source_a", "source_b"),
-                   default="average", help="initial fused image (default average)")
+    _add_pair_args(p)
+    _add_field_flags(p, fusionopt.OptConfig, OPT_FLAGS)
     p.add_argument("--trace", help="write per-iteration loss CSV here")
-    _add_loss_flags(p)
+    _add_field_flags(p, losses.LossWeights, LOSS_FLAGS)
     p.set_defaults(func=cmd_fuse_opt)
 
     p = sub.add_parser("decompose", help="write the four wavelet subbands")
@@ -295,7 +280,7 @@ def build_parser():
     p = sub.add_parser("init-weights", help="write seeded random weights")
     p.add_argument("output")
     p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
-    _add_config_flags(p)
+    _add_field_flags(p, network.NetConfig, SHAPE_FLAGS + ATTENTION_FLAGS)
     p.set_defaults(func=cmd_init_weights)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")

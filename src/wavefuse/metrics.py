@@ -106,6 +106,9 @@ def _window_stats(x):
 def _q0(win_x, mean_x, var_x, win_y, mean_y, var_y):
     """Universal image quality index per sliding window."""
     cov = (win_x * win_y).mean(axis=1) - mean_x * mean_y
+    # A flat window has covariance exactly 0 with any other; the one-pass
+    # formula above leaves rounding residue there.
+    cov[(var_x == 0.0) | (var_y == 0.0)] = 0.0
     num = 4.0 * cov * mean_x * mean_y
     den = (var_x + var_y) * (mean_x**2 + mean_y**2)
     out = np.empty_like(num)

@@ -8,7 +8,7 @@ and CRC-protected (see save_weights).
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,9 @@ class NetConfig:
     cross_route: str = "qv"  # "qv": queries/values cross modalities, "k": keys
 
     def __post_init__(self):
+        for name in ("channels", "blocks", "window", "heads", "reduction", "mlp_ratio"):
+            if getattr(self, name) < 1:
+                raise ShapeError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.channels % self.heads:
             raise ShapeError(
                 f"channels {self.channels} not divisible by heads {self.heads}"
@@ -48,8 +51,6 @@ class NetConfig:
                 f"channels {self.channels} not divisible by reduction "
                 f"{self.reduction}"
             )
-        if self.blocks < 1:
-            raise ShapeError(f"need at least one block, got {self.blocks}")
         if self.cross_route not in ("qv", "k"):
             raise ValueError(f"unknown cross_route {self.cross_route!r}")
 
@@ -100,6 +101,21 @@ def validate_weights(weights, cfg):
             raise FormatError(
                 f"weight {name} has shape {weights[name].shape}, expected {shape}"
             )
+
+
+def config_from_weights(weights, window, heads, cross_route):
+    """The config whose weight schema `weights` match, with the attention
+    settings a weights file does not record. Inverse of weight_schema."""
+    try:
+        c = weights["fe1.1.weight"].shape[0]
+        blocks = len({name.split(".")[0] for name in weights if name.startswith("block")})
+        reduction = c // weights["block0.s1.cbam.ca_w1"].shape[0]
+        mlp_ratio = weights["block0.s1.mlp.w1"].shape[0] // c
+        cfg = NetConfig(c, blocks, heads=1, reduction=reduction, mlp_ratio=mlp_ratio)
+    except (KeyError, IndexError, ZeroDivisionError, ShapeError) as exc:
+        raise FormatError(f"weights do not describe a network: {exc!r}") from exc
+    validate_weights(weights, cfg)
+    return replace(cfg, window=window, heads=heads, cross_route=cross_route)
 
 
 def init_weights(cfg, seed):
@@ -190,11 +206,6 @@ def _pad_to_multiple(x, mult):
     return np.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="symmetric")
 
 
-def _layer_norm_nchw(x, gain, shift):
-    tok, shape = _to_tokens(x)
-    return _from_tokens(T.layer_norm(tok, gain, shift), shape)
-
-
 def enhance_block(f1, f2, index, weights, cfg):
     """One frequency-enhancement block for both modality streams.
 
@@ -212,8 +223,9 @@ def enhance_block(f1, f2, index, weights, cfg):
     for f, p in zip((f1, f2), prefixes):
         fp = _pad_to_multiple(f, 2 * cfg.window)
         padded.append(fp)
-        spa = _layer_norm_nchw(fp, weights[f"{p}.ln1.gain"], weights[f"{p}.ln1.shift"])
-        subs.append(dwt2(spa))
+        tok, shape = _to_tokens(fp)
+        tok = T.layer_norm(tok, weights[f"{p}.ln1.gain"], weights[f"{p}.ln1.shift"])
+        subs.append(dwt2(_from_tokens(tok, shape)))
     lows = _band_attention(subs[0].ll, subs[1].ll, index, "low", weights, cfg)
     highs = _band_attention(pack_high(subs[0]), pack_high(subs[1]), index, "high", weights, cfg)
     fres = frequency_interaction(
@@ -221,10 +233,8 @@ def enhance_block(f1, f2, index, weights, cfg):
     )
 
     outs = []
-    for packed, fp, p in zip(fres, padded, prefixes):
-        b = fp.shape[0]
-        rec = iwt2(unpack(packed[:b], packed[b:]))
-        fprime = rec + fp
+    for bands, fp, p in zip(fres, padded, prefixes):
+        fprime = iwt2(unpack(*bands)) + fp
         tok, shape = _to_tokens(fprime)
         tok = T.layer_norm(tok, weights[f"{p}.ln2.gain"], weights[f"{p}.ln2.shift"])
         hid = T.leaky_relu(tok @ weights[f"{p}.mlp.w1"].T + weights[f"{p}.mlp.b1"], SLOPE)
@@ -240,7 +250,7 @@ def forward(i1, i2, weights, cfg):
     f1, f2 = (feature_extract(to_tensor(img), weights, m) for m, img in ((1, i1), (2, i2)))
     for i in range(cfg.blocks):
         f1, f2 = enhance_block(f1, f2, i, weights, cfg)
-    x = T.channel_concat(f1, f2)
+    x = np.concatenate([f1, f2], axis=1)
     for layer in (1, 2, 3):
         x = T.conv2d(x, weights[f"fuse.{layer}.weight"], weights[f"fuse.{layer}.bias"])
         if layer < 3:

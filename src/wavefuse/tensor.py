@@ -80,22 +80,3 @@ def sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def relu(x):
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def channel_concat(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ShapeError(f"channel_concat mismatch: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=1)
-
-
-def batch_concat(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape[1:] != b.shape[1:]:
-        raise ShapeError(f"batch_concat mismatch: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=0)
-

@@ -228,7 +228,8 @@ def qw_naive(a, b, f, win=8):
             def q0(x, y):
                 mx, my = x.mean(), y.mean()
                 vx, vy = var(x), var(y)
-                cov = (x * y).mean() - mx * my
+                # a flat window has covariance exactly 0 with any other
+                cov = 0.0 if vx == 0 or vy == 0 else (x * y).mean() - mx * my
                 den = (vx + vy) * (mx * mx + my * my)
                 if den == 0:
                     return 1.0 if np.abs(x - y).max() == 0 else 0.0

@@ -202,15 +202,16 @@ class TestFrequencyInteraction:
         s1, s2 = att.frequency_interaction(
             low1, low2, high1, high2, zero_cbam(), zero_cbam()
         )
-        assert np.allclose(s1, np.concatenate([low1 / 2, high2 / 2], axis=0))
-        assert np.allclose(s2, np.concatenate([low2 / 2, high1 / 2], axis=0))
+        # each stream is a (low, packed high) pair; a zero gate is sigmoid(0) = 1/2
+        assert np.array_equal(s1[0], low1 / 2) and np.array_equal(s1[1], high2 / 2)
+        assert np.array_equal(s2[0], low2 / 2) and np.array_equal(s2[1], high1 / 2)
 
     def test_identical_modalities_identical_streams(self, rng):
         low = rng.standard_normal((1, 8, 4, 4))
         high = rng.standard_normal((3, 8, 4, 4))
         p = random_cbam(rng)
         s1, s2 = att.frequency_interaction(low, low.copy(), high, high.copy(), p, p)
-        assert np.array_equal(s1, s2)
+        assert np.array_equal(s1[0], s2[0]) and np.array_equal(s1[1], s2[1])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
@@ -223,7 +224,7 @@ class TestFrequencyInteraction:
         s1_b, _ = att.frequency_interaction(
             low1, low2 + g.standard_normal(low2.shape), high1 + 1.0, high2, p1, p2
         )
-        assert np.array_equal(s1, s1_b)
+        assert np.array_equal(s1[0], s1_b[0]) and np.array_equal(s1[1], s1_b[1])
 
     def test_bad_multiplicity(self, rng):
         with pytest.raises(ShapeError):

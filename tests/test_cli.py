@@ -1,3 +1,7 @@
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,10 +37,9 @@ def weights_path(tmp_path):
     return str(path)
 
 
-SMALL_FLAGS = [
-    "--channels", "8", "--blocks", "1", "--window", "4",
-    "--heads", "2", "--reduction", "2",
-]
+# fuse reads the weight shapes from the file; the attention flags it still needs.
+FUSE_FLAGS = ["--window", "4", "--heads", "2"]
+SMALL_FLAGS = ["--channels", "8", "--blocks", "1", "--reduction", "2"] + FUSE_FLAGS
 
 
 class TestFuse:
@@ -44,7 +47,7 @@ class TestFuse:
         a, b, tmp = images
         out = str(tmp / "fused.pgm")
         code = cli.main(["fuse", a, b, "--weights", weights_path, "-o", out]
-                        + SMALL_FLAGS)
+                        + FUSE_FLAGS)
         assert code == 0
         fused = load_pnm(out)
         assert fused.shape == (32, 32)
@@ -54,7 +57,7 @@ class TestFuse:
         small = write_image(tmp / "small.pgm", np.zeros((8, 8)))
         out = str(tmp / "x.pgm")
         code = cli.main(["fuse", a, small, "--weights", weights_path, "-o", out]
-                        + SMALL_FLAGS)
+                        + FUSE_FLAGS)
         assert code == 2
         err = capsys.readouterr().err
         assert "(32, 32)" in err and "(8, 8)" in err
@@ -64,7 +67,7 @@ class TestFuse:
         bad = tmp_path / "bad.wfw"
         bad.write_bytes(b"XXXX not weights")
         code = cli.main(["fuse", a, b, "--weights", str(bad), "-o", str(tmp / "x.pgm")]
-                        + SMALL_FLAGS)
+                        + FUSE_FLAGS)
         assert code == 3
 
     def test_missing_input_exit_2(self, weights_path, tmp_path):
@@ -82,9 +85,52 @@ class TestFuse:
         b = write_image(tmp_path / "b.ppm", rgb_b)
         out = str(tmp_path / "f.ppm")
         code = cli.main(["fuse", a, b, "--weights", weights_path, "-o", out]
-                        + SMALL_FLAGS)
+                        + FUSE_FLAGS)
         assert code == 0
         assert load_pnm(out).shape == (16, 16, 3)
+
+    def test_shapes_come_from_the_weights_file(self, images):
+        a, b, tmp = images
+        wpath, out, ref = (str(tmp / name) for name in ("w.wfw", "f.pgm", "ref.pgm"))
+        shapes = ["--channels", "8", "--blocks", "3", "--reduction", "2", "--mlp-ratio", "3"]
+        assert cli.main(["init-weights", wpath] + shapes + FUSE_FLAGS) == 0
+        assert cli.main(["fuse", a, b, "--weights", wpath, "-o", out] + FUSE_FLAGS) == 0
+        cfg = network.NetConfig(channels=8, blocks=3, window=4, heads=2, reduction=2, mlp_ratio=3)
+        want = network.forward(load_pnm(a), load_pnm(b), network.init_weights(cfg, 0), cfg)
+        save_pnm(want, ref)
+        assert np.array_equal(load_pnm(out), load_pnm(ref))
+
+    def test_shape_flags_rejected(self, images, weights_path):
+        a, b, tmp = images
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fuse", a, b, "--weights", weights_path, "-o", str(tmp / "x.pgm"),
+                      "--channels", "8"] + FUSE_FLAGS)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("edit", ["drop_extractor", "gate_width", "mlp_width"])
+    def test_weights_that_are_no_network_exit_3(self, images, weights_path, edit):
+        a, b, tmp = images
+        w = network.load_weights(weights_path)
+        if edit == "drop_extractor":
+            del w["fe1.1.weight"]
+        elif edit == "gate_width":
+            w["block0.s1.cbam.ca_w1"] = np.zeros((3, 8))
+        else:
+            w["block0.s1.mlp.w1"] = np.zeros((4, 8))
+        bad = str(tmp / "bad.wfw")
+        network.save_weights(w, bad)
+        code = cli.main(["fuse", a, b, "--weights", bad, "-o", str(tmp / "x.pgm")] + FUSE_FLAGS)
+        assert code == 3
+
+    @pytest.mark.parametrize("flags", [
+        ["--window", "4", "--heads", "3"],
+        ["--window", "0", "--heads", "2"],
+        ["--window", "4", "--heads", "-1"],
+    ])
+    def test_bad_attention_flags_exit_2(self, images, weights_path, flags):
+        a, b, tmp = images
+        out = str(tmp / "x.pgm")
+        assert cli.main(["fuse", a, b, "--weights", weights_path, "-o", out] + flags) == 2
 
 
 class TestFuseOpt:
@@ -180,6 +226,10 @@ class TestOtherCommands:
         assert cli.main(["gradcheck", "--size", "32"]) == 0
         assert "gradient error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--heads", "--reduction", "--blocks"])
+    def test_init_weights_size_zero_exit_2(self, tmp_path, flag):
+        assert cli.main(["init-weights", str(tmp_path / "w.wfw"), flag, "0"]) == 2
+
     def test_init_weights_roundtrip(self, tmp_path):
         out = tmp_path / "w.wfw"
         assert cli.main(["init-weights", str(out)] + SMALL_FLAGS) == 0
@@ -201,3 +251,16 @@ class TestOtherCommands:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "default 500" in out and "default 0.05" in out
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_commands_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    lines = [line for block in blocks for line in block.splitlines()]
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("wavefuse ")]
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])

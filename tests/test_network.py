@@ -19,6 +19,14 @@ class TestConfigAndSchema:
         with pytest.raises(ShapeError):
             net.NetConfig(channels=10, heads=2, reduction=4)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    @pytest.mark.parametrize(
+        "field", ["channels", "blocks", "window", "heads", "reduction", "mlp_ratio"]
+    )
+    def test_sizes_below_one(self, field, size):
+        with pytest.raises(ShapeError, match=field):
+            net.NetConfig(**{field: size})
+
     def test_bad_route(self):
         with pytest.raises(ValueError):
             net.NetConfig(cross_route="vk")
@@ -48,6 +56,41 @@ class TestConfigAndSchema:
         w["fe1.1.bias"] = np.zeros(7)
         with pytest.raises(FormatError, match="fe1.1.bias"):
             net.validate_weights(w, SMALL)
+
+
+class TestConfigFromWeights:
+    @pytest.mark.parametrize("cfg", [
+        SMALL,
+        replace(SMALL, blocks=3, mlp_ratio=3, cross_route="k"),
+        net.NetConfig(channels=12, blocks=1, window=2, heads=3, reduction=3, mlp_ratio=1),
+    ])
+    def test_inverts_the_schema(self, cfg):
+        w = net.init_weights(cfg, 0)
+        assert net.config_from_weights(w, cfg.window, cfg.heads, cfg.cross_route) == cfg
+
+    @pytest.mark.parametrize("name, shape", [
+        ("fe1.1.weight", None),
+        ("block0.s1.cbam.ca_w1", None),
+        ("block0.s1.cbam.ca_w1", (0, 8)),
+        ("block0.s1.cbam.ca_w1", (3, 8)),
+        ("block0.s1.cbam.ca_w1", (16, 8)),
+        ("block0.s1.mlp.w1", (4, 8)),
+        ("block0.s1.mlp.w1", (20, 8)),
+        ("block1.s2.mlp.w1", (24, 8)),
+        ("block3.s1.ln1.gain", (8,)),
+    ])
+    def test_weights_that_are_no_network(self, name, shape):
+        w = net.init_weights(SMALL, 0)
+        if shape is None:
+            del w[name]
+        else:
+            w[name] = np.zeros(shape)
+        with pytest.raises(FormatError):
+            net.config_from_weights(w, 4, 2, "qv")
+
+    def test_heads_must_divide_the_file_channels(self):
+        with pytest.raises(ShapeError):
+            net.config_from_weights(net.init_weights(SMALL, 0), 4, 3, "qv")
 
 
 class TestInit:
@@ -122,6 +165,40 @@ class TestEnhanceBlock:
         want = enhance_block_naive(f1, f2, 1, w, SMALL)
         for g, o in zip(got, want):
             assert np.abs(g - o).max() <= 1e-12
+
+    def test_mirror_pad_and_crop(self, rng):
+        # an unaligned block equals the block on its mirror-padded input, cropped
+        cfg = replace(SMALL, blocks=4)
+        w = net.init_weights(cfg, 0)
+        f1, f2 = rng.standard_normal((2, 1, 8, 13, 9))
+        mult = 2 * cfg.window
+        pad = ((0, 0), (0, 0), (0, -13 % mult), (0, -9 % mult))
+        p1, p2 = (np.pad(f, pad, mode="symmetric") for f in (f1, f2))
+        for i in range(cfg.blocks):
+            got = net.enhance_block(f1, f2, i, w, cfg)
+            want = net.enhance_block(p1, p2, i, w, cfg)
+            for g, o in zip(got, want):
+                assert np.array_equal(g, o[..., :13, :9])
+
+    def test_window_shift_parity(self, rng):
+        # even blocks use unshifted windows and odd blocks shifted ones, so a
+        # block's output depends on its weights and the parity of its index
+        cfg = replace(SMALL, blocks=4)
+        w = net.init_weights(cfg, 0)
+
+        def copy_block(src, dst):
+            for name in [n for n in w if n.startswith(f"block{src}.")]:
+                w[f"block{dst}" + name[len(f"block{src}"):]] = w[name]
+
+        copy_block(0, 2)
+        copy_block(1, 3)
+        f1, f2 = rng.standard_normal((2, 1, 8, 13, 9))
+        outs = [net.enhance_block(f1, f2, i, w, cfg) for i in range(4)]
+        for i in (0, 1):
+            assert all(np.array_equal(a, b) for a, b in zip(outs[i], outs[i + 2]))
+        copy_block(0, 1)
+        shifted = net.enhance_block(f1, f2, 1, w, cfg)
+        assert all(not np.array_equal(a, b) for a, b in zip(outs[0], shifted))
 
     def test_stream_symmetry(self, rng):
         # equal per-stream weights + identical inputs -> identical outputs

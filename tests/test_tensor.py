@@ -126,15 +126,3 @@ class TestPoolAndElementwise:
         assert np.isfinite(big).all()
         assert big[0] > 1.0 - 1e-12
         assert 0.0 <= big[1] < 1e-12
-
-    def test_concat_split_roundtrip(self, rng):
-        a = rng.standard_normal((2, 3, 4, 4))
-        b = rng.standard_normal((3, 3, 4, 4))
-        joined = T.batch_concat(a, b)
-        assert np.array_equal(joined[:2], a) and np.array_equal(joined[2:], b)
-
-    def test_channel_concat_mismatch(self, rng):
-        with pytest.raises(ShapeError):
-            T.channel_concat(
-                rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((1, 2, 5, 4))
-            )
