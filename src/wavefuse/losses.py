@@ -9,13 +9,14 @@ away from the L1 kinks.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 from .imageio import check_images
 
-SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
-SOBEL_Y = SOBEL_X.T.copy()
+# A kernel is a pair of 1-D taps of one odd length (down the rows, along the
+# columns); the 2-D kernel is their outer product.
+SOBEL_X = (np.array([1.0, 2.0, 1.0]), np.array([-1.0, 0.0, 1.0]))
+SOBEL_Y = SOBEL_X[::-1]
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -51,41 +52,82 @@ class LossReport:
     grad: np.ndarray | None = field(default=None, repr=False)
 
 
-def _reflect_idx(n, pad):
-    return np.pad(np.arange(n), pad, mode="reflect")
-
-
 def reflect_pad(x, pad):
-    return x[np.ix_(_reflect_idx(x.shape[0], pad), _reflect_idx(x.shape[1], pad))]
+    return np.pad(x, pad, mode="reflect")
 
 
-def reflect_pad_adjoint(g, pad, shape):
-    """Fold gradients on the padded array back onto the original pixels."""
-    out = np.zeros(shape)
-    ri = _reflect_idx(shape[0], pad)
-    ci = _reflect_idx(shape[1], pad)
-    np.add.at(out, (ri[:, None], ci[None, :]), g)
+def _fold_rows(g, pad):
+    """Adjoint of reflect-padding axis 0 of an array by `pad` on both sides."""
+    n = len(g) - 2 * pad
+    if n == 1:
+        # Every padded row copies the single row.
+        return g.sum(axis=0, keepdims=True)
+    out = g[pad : pad + n].copy()
+    # Outside an edge, distances 1..n-1 mirror onto rows 1..n-1 counted from
+    # that edge; each further n-1 rows bounce off the opposite edge.
+    for tail, view in ((g[:pad][::-1], out), (g[pad + n :], out[::-1])):
+        for start in range(0, pad, n - 1):
+            chunk = tail[start : start + n - 1]
+            view[1 : 1 + len(chunk)] += chunk
+            view = view[::-1]
     return out
 
 
-def _correlate_valid(xp, k):
-    win = sliding_window_view(xp, k.shape)
-    return np.einsum("ijuv,uv->ij", win, k, optimize=True)
+def reflect_pad_adjoint(g, pad):
+    """Fold gradients on the padded array back onto the original pixels."""
+    return _fold_rows(_fold_rows(g, pad).T, pad).T
+
+
+def _part(x, axis, start, n):
+    """The n rows (axis 0) or columns (axis 1) of x from `start` on, as a view."""
+    return x[start : start + n] if axis == 0 else x[:, start : start + n]
+
+
+def _correlate(x, taps, axis):
+    """Valid 1-D correlation of x with taps along one axis."""
+    n = x.shape[axis] - len(taps) + 1
+    out = taps[0] * _part(x, axis, 0, n)
+    for u in range(1, len(taps)):
+        out += taps[u] * _part(x, axis, u, n)
+    return out
+
+
+def _correlate_adjoint(g, taps, axis):
+    """Adjoint of _correlate: scatter g back through each tap."""
+    shape = list(g.shape)
+    shape[axis] += len(taps) - 1
+    out = np.zeros(shape)
+    for u, t in enumerate(taps):
+        view = _part(out, axis, u, g.shape[axis])
+        view += t * g
+    return out
+
+
+def _sliding(x, size, reduce):
+    """Apply a binary ufunc (np.add, np.minimum, ...) across every size x size
+    window of x, one axis at a time; the output is the valid part."""
+    for axis in (0, 1):
+        n = x.shape[axis] - size + 1
+        out = _part(x, axis, 0, n).copy()
+        for u in range(1, size):
+            reduce(out, _part(x, axis, u, n), out=out)
+        x = out
+    return x
 
 
 def filt(x, k):
-    """Correlate with reflect padding; output size equals input size."""
-    pad = k.shape[0] // 2
-    return _correlate_valid(reflect_pad(x, pad), k)
+    """Correlate with the separable kernel k (taps down the rows, taps along
+    the columns) under reflect padding; output size equals input size."""
+    kr, kc = k
+    xp = reflect_pad(x, len(kr) // 2)
+    return _correlate(_correlate(xp, kr, 0), kc, 1)
 
 
-def filt_adjoint(g, k, shape):
-    """Exact adjoint of filt for a kernel k and original image shape."""
-    pad = k.shape[0] // 2
-    kh, kw = k.shape
-    gp = np.pad(g, ((kh - 1, kh - 1), (kw - 1, kw - 1)))
-    adj_padded = _correlate_valid(gp, k[::-1, ::-1])
-    return reflect_pad_adjoint(adj_padded, pad, shape)
+def filt_adjoint(g, k):
+    """Exact adjoint of filt for a kernel k."""
+    kr, kc = k
+    gp = _correlate_adjoint(_correlate_adjoint(g, kc, 1), kr, 0)
+    return reflect_pad_adjoint(gp, len(kr) // 2)
 
 
 def grad_abs(x):
@@ -117,17 +159,16 @@ def loss_texture(f, a, b):
     sxf, syf, diff = _texture_terms(f, a, b)
     value = np.abs(diff).sum() / n
     up = np.sign(diff) / n
-    grad = filt_adjoint(up * np.sign(sxf), SOBEL_X, f.shape) + filt_adjoint(
-        up * np.sign(syf), SOBEL_Y, f.shape
-    )
+    grad = filt_adjoint(up * np.sign(sxf), SOBEL_X) + filt_adjoint(up * np.sign(syf), SOBEL_Y)
     return value, grad
 
 
 def gaussian_window(size=SSIM_WINDOW, sigma=SSIM_SIGMA):
+    """Normalised Gaussian window as a separable kernel (g1, g1)."""
     r = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(r**2) / (2.0 * sigma**2))
-    k = np.outer(g, g)
-    return k / k.sum()
+    g /= g.sum()
+    return g, g
 
 
 def _ssim_terms(x, y, g):
@@ -170,9 +211,9 @@ def _ssim_value_grad(f, a):
     # mu_f, var_f and cov all depend on f; fold each chain through the window.
     up_mu = d_mu - 2.0 * mu_f * d_var - mu_a * d_cov
     grad = (
-        filt_adjoint(up_mu, g, f.shape)
-        + 2.0 * f * filt_adjoint(d_var, g, f.shape)
-        + a * filt_adjoint(d_cov, g, f.shape)
+        filt_adjoint(up_mu, g)
+        + 2.0 * f * filt_adjoint(d_var, g)
+        + a * filt_adjoint(d_cov, g)
     ) / n
     return value, grad
 
@@ -205,12 +246,6 @@ def loss_total(f, a, b, w=LossWeights(), with_grad=True):
     )
 
 
-def _neighborhood_min(x, radius):
-    pad = np.pad(x, radius, mode="edge")
-    win = sliding_window_view(pad, (2 * radius + 1, 2 * radius + 1))
-    return win.min(axis=(2, 3))
-
-
 def kink_free_mask(f, a, b, h):
     """Pixels whose +-h perturbation cannot cross an L1 kink of any term."""
     margin = 10.0 * h
@@ -224,7 +259,7 @@ def kink_free_mask(f, a, b, h):
         & (np.abs(syf) > tex_margin)
         & (np.abs(diff) > tex_margin)
     )
-    mask &= _neighborhood_min(tex_ok.astype(np.float64), 2) > 0.5
+    mask &= _sliding(np.pad(tex_ok, 2, mode="edge"), 5, np.minimum)
     return mask
 
 

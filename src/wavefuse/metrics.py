@@ -9,11 +9,10 @@ that perfect edge preservation scores exactly 1.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 from .imageio import check_images, to_tensor
-from .losses import SOBEL_X, SOBEL_Y, filt, ssim
+from .losses import SOBEL_X, SOBEL_Y, _sliding, filt, ssim
 from .wavelet import dwt2
 
 QABF_GAMMA_G = 0.9994
@@ -92,20 +91,24 @@ def q_abf(a, b, f):
     return float((qa * ga + qb * gb).sum() / denom)
 
 
+def _window_mean(x):
+    """Mean of every QW_WINDOW x QW_WINDOW window, from separable box sums."""
+    return _sliding(x, QW_WINDOW, np.add) / QW_WINDOW**2
+
+
 def _window_stats(x):
-    win = sliding_window_view(x, (QW_WINDOW, QW_WINDOW)).reshape(
-        -1, QW_WINDOW * QW_WINDOW
-    )
-    mean = win.mean(axis=1)
-    # A window whose samples are all equal has variance exactly 0; win.var
-    # leaves rounding residue there that would pass for signal in Q0.
-    var = np.where(win.max(axis=1) == win.min(axis=1), 0.0, win.var(axis=1))
-    return win, mean, var
+    mean = _window_mean(x)
+    # A one-pass variance can round below 0, and it leaves rounding residue on
+    # a window whose samples are all equal, which would pass for signal in Q0;
+    # such a window has variance exactly 0.
+    var = np.maximum(_window_mean(x * x) - mean**2, 0.0)
+    var[_sliding(x, QW_WINDOW, np.maximum) == _sliding(x, QW_WINDOW, np.minimum)] = 0.0
+    return mean, var
 
 
-def _q0(win_x, mean_x, var_x, win_y, mean_y, var_y):
+def _q0(x, mean_x, var_x, y, mean_y, var_y):
     """Universal image quality index per sliding window."""
-    cov = (win_x * win_y).mean(axis=1) - mean_x * mean_y
+    cov = _window_mean(x * y) - mean_x * mean_y
     # A flat window has covariance exactly 0 with any other; the one-pass
     # formula above leaves rounding residue there.
     cov[(var_x == 0.0) | (var_y == 0.0)] = 0.0
@@ -116,7 +119,7 @@ def _q0(win_x, mean_x, var_x, win_y, mean_y, var_y):
     out[ok] = num[ok] / den[ok]
     # Degenerate windows: equal content is perfect, anything else scores 0.
     bad = ~ok
-    out[bad] = np.abs(win_x[bad] - win_y[bad]).max(axis=1) == 0.0
+    out[bad] = _sliding(np.abs(x - y), QW_WINDOW, np.maximum)[bad] == 0.0
     return out
 
 
@@ -125,11 +128,11 @@ def q_w(a, b, f):
     a, b, f = check_images(a, b, f)
     if min(a.shape) < QW_WINDOW:
         raise ShapeError(f"q_w needs at least {QW_WINDOW}x{QW_WINDOW}, got {a.shape}")
-    win_a, mean_a, var_a = _window_stats(a)
-    win_b, mean_b, var_b = _window_stats(b)
-    win_f, mean_f, var_f = _window_stats(f)
-    q0_af = _q0(win_a, mean_a, var_a, win_f, mean_f, var_f)
-    q0_bf = _q0(win_b, mean_b, var_b, win_f, mean_f, var_f)
+    mean_a, var_a = _window_stats(a)
+    mean_b, var_b = _window_stats(b)
+    mean_f, var_f = _window_stats(f)
+    q0_af = _q0(a, mean_a, var_a, f, mean_f, var_f)
+    q0_bf = _q0(b, mean_b, var_b, f, mean_f, var_f)
     sal = var_a + var_b
     lam = np.where(sal > 0.0, var_a / np.where(sal == 0.0, 1.0, sal), 0.5)
     q = lam * q0_af + (1.0 - lam) * q0_bf

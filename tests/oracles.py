@@ -40,6 +40,32 @@ def correlate_reflect(x, k):
     return out
 
 
+def correlate_reflect_adjoint(g, k):
+    """Adjoint of correlate_reflect: scatter each output through the kernel
+    onto the pixels its reflect-padded window read."""
+    h, w = g.shape
+    kh = len(k)
+    r = kh // 2
+    out = np.zeros((h, w))
+    for i in range(h):
+        for j in range(w):
+            for u in range(kh):
+                for v in range(kh):
+                    out[reflect(i + u - r, h), reflect(j + v - r, w)] += g[i, j] * k[u][v]
+    return out
+
+
+def reflect_fold(g, pad):
+    """Adjoint of reflect padding by `pad`: add every padded pixel onto the
+    original pixel it copies."""
+    h, w = g.shape[0] - 2 * pad, g.shape[1] - 2 * pad
+    out = np.zeros((h, w))
+    for i in range(g.shape[0]):
+        for j in range(g.shape[1]):
+            out[reflect(i - pad, h), reflect(j - pad, w)] += g[i, j]
+    return out
+
+
 def conv2d_naive(x, kernel, bias, padding):
     b, cin, h, w = x.shape
     cout = kernel.shape[0]
@@ -82,14 +108,11 @@ def dwt2_naive(x):
     return ll, lh, hl, hh
 
 
-def gauss_kernel():
-    c = (GAUSS_SIZE - 1) / 2
+def gauss_kernel(size=GAUSS_SIZE, sigma=GAUSS_SIGMA):
+    c = (size - 1) / 2
     k = [
-        [
-            math.exp(-((i - c) ** 2 + (j - c) ** 2) / (2 * GAUSS_SIGMA**2))
-            for j in range(GAUSS_SIZE)
-        ]
-        for i in range(GAUSS_SIZE)
+        [math.exp(-((i - c) ** 2 + (j - c) ** 2) / (2 * sigma**2)) for j in range(size)]
+        for i in range(size)
     ]
     total = sum(sum(row) for row in k)
     return [[v / total for v in row] for row in k]
@@ -98,23 +121,22 @@ def gauss_kernel():
 def ssim_naive(x, y):
     """Per-pixel sliding-window SSIM, reflect padding, Gaussian weights."""
     h, w = x.shape
+    x, y = x.tolist(), y.tolist()
     g = gauss_kernel()
     r = GAUSS_SIZE // 2
     total = 0.0
     for i in range(h):
+        rows = [reflect(i + u - r, h) for u in range(GAUSS_SIZE)]
         for j in range(w):
-            mx = my = 0.0
+            cols = [reflect(j + v - r, w) for v in range(GAUSS_SIZE)]
+            mx = my = vx = vy = cov = 0.0
             for u in range(GAUSS_SIZE):
                 for v in range(GAUSS_SIZE):
                     wt = g[u][v]
-                    mx += wt * x[reflect(i + u - r, h), reflect(j + v - r, w)]
-                    my += wt * y[reflect(i + u - r, h), reflect(j + v - r, w)]
-            vx = vy = cov = 0.0
-            for u in range(GAUSS_SIZE):
-                for v in range(GAUSS_SIZE):
-                    wt = g[u][v]
-                    xv = x[reflect(i + u - r, h), reflect(j + v - r, w)]
-                    yv = y[reflect(i + u - r, h), reflect(j + v - r, w)]
+                    xv = x[rows[u]][cols[v]]
+                    yv = y[rows[u]][cols[v]]
+                    mx += wt * xv
+                    my += wt * yv
                     vx += wt * xv * xv
                     vy += wt * yv * yv
                     cov += wt * xv * yv

@@ -1,5 +1,6 @@
-"""Static checks on the package source: no unused module-level import and no
-private module-level function that nothing calls. Standard library only."""
+"""Static checks on the package source: no unused module-level import, no
+private module-level function that nothing calls and no function parameter
+that the function never reads. Standard library only."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,24 @@ def test_every_private_function_has_a_caller():
         and node.name not in used
     ]
     assert not uncalled, f"private functions with no caller: {uncalled}"
+
+
+def test_every_parameter_is_read():
+    # argparse handlers all take `args`, whether or not they read it.
+    unread = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("cmd_"):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [f"{path.name}:{node.name}({p.arg})" for p in params if p.arg not in read]
+    assert not unread, f"parameters never read: {unread}"

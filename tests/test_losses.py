@@ -4,7 +4,10 @@ import pytest
 from conftest import smooth_image
 from oracles import (
     correlate_reflect,
+    correlate_reflect_adjoint,
+    gauss_kernel,
     intensity_loss_naive,
+    reflect_fold,
     ssim_naive,
     texture_loss_naive,
     total_loss_naive,
@@ -26,14 +29,79 @@ class TestFilters:
         want = correlate_reflect(x, SX)
         assert np.allclose(got, want, atol=1e-12)
 
+    def test_sobel_tap_pairs_are_the_3x3_kernels(self):
+        assert np.array_equal(np.outer(*L.SOBEL_X), SX)
+        assert np.array_equal(np.outer(*L.SOBEL_Y), np.transpose(SX))
+
+    @pytest.mark.parametrize("size, sigma", [(L.SSIM_WINDOW, L.SSIM_SIGMA), (7, 2.0)])
+    def test_gaussian_tap_pair_is_the_2d_window(self, rng, size, sigma):
+        # (11, 1.5) is the SSIM window; (7, 2.0) is the one cli.smooth_image uses.
+        k = gauss_kernel(size, sigma)
+        g = L.gaussian_window(size, sigma)
+        assert np.abs(np.outer(*g) - k).max() <= 1e-14
+        x = rng.standard_normal((9, 13))
+        assert np.abs(L.filt(x, g) - correlate_reflect(x, k)).max() <= 1e-14
+
     def test_adjoint_identity(self, rng):
         # <filt(x), y> == <x, filt_adjoint(y)> for every kernel used here
         x = rng.standard_normal((8, 10))
         y = rng.standard_normal((8, 10))
         for k in (L.SOBEL_X, L.SOBEL_Y, L.gaussian_window()):
             lhs = (L.filt(x, k) * y).sum()
-            rhs = (x * L.filt_adjoint(y, k, x.shape)).sum()
+            rhs = (x * L.filt_adjoint(y, k)).sum()
             assert abs(lhs - rhs) < 1e-9
+
+
+SMALL_SHAPES = [(h, w) for h in range(1, 13) for w in range(1, 13)]
+
+
+class TestSmallImages:
+    """Every shape with sides 1-12, including sides at or below the Gaussian's
+    pad of 5, where reflect padding wraps more than once."""
+
+    KERNELS = {
+        "sobel_x": (L.SOBEL_X, SX),
+        "sobel_y": (L.SOBEL_Y, np.transpose(SX).tolist()),
+        "gauss": (L.gaussian_window(), gauss_kernel()),
+    }
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_filt_and_adjoint_match_loop_oracles(self, name):
+        k, k2d = self.KERNELS[name]
+        g = np.random.default_rng(5)
+        for shape in SMALL_SHAPES:
+            x = g.standard_normal(shape)
+            y = g.standard_normal(shape)
+            fx = L.filt(x, k)
+            ay = L.filt_adjoint(y, k)
+            assert np.abs(fx - correlate_reflect(x, k2d)).max() <= 1e-13, shape
+            assert np.abs(ay - correlate_reflect_adjoint(y, k2d)).max() <= 1e-13, shape
+            lhs, rhs = (fx * y).sum(), (x * ay).sum()
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), shape
+
+    @pytest.mark.parametrize("pad", [1, 5, 13])
+    def test_reflect_pad_adjoint_matches_loop_fold(self, pad):
+        g = np.random.default_rng(6)
+        for h, w in SMALL_SHAPES:
+            gp = g.standard_normal((h + 2 * pad, w + 2 * pad))
+            got = L.reflect_pad_adjoint(gp, pad)
+            assert np.abs(got - reflect_fold(gp, pad)).max() <= 1e-12, (h, w)
+
+    def test_loss_total_value_and_gradient(self):
+        # f stays 0.1 away from both sources, so no intensity kink is near.
+        g = np.random.default_rng(7)
+        h_fd = 1e-6
+        for shape in SMALL_SHAPES:
+            a = g.uniform(0.0, 0.3, shape)
+            b = g.uniform(0.7, 1.0, shape)
+            f = g.uniform(0.4, 0.6, shape)
+            report = L.loss_total(f, a, b)
+            assert report.total == pytest.approx(total_loss_naive(f, a, b), abs=1e-10), shape
+            d = g.standard_normal(shape)
+            up = L.loss_total(f + h_fd * d, a, b, with_grad=False).total
+            down = L.loss_total(f - h_fd * d, a, b, with_grad=False).total
+            slope = (report.grad * d).sum()
+            assert abs((up - down) / (2 * h_fd) - slope) <= 1e-6 * max(1.0, abs(slope)), shape
 
 
 class TestIntensity:

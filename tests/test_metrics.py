@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,8 +63,12 @@ class TestQw:
                 assert M.q_w(z, z, z) == 1.0, (c, size)
 
     def test_distinct_flat_images_score_zero(self):
-        z = np.full((16, 16), 0.3)
-        assert M.q_w(z, z, np.full((16, 16), 0.7)) == 0.0
+        # For 0.1 and 0.55 the one-pass variance of a flat window rounds above
+        # 0 (for 0.3 and 0.7, below); only the max == min rule makes these
+        # windows degenerate.
+        for c, d in ((0.3, 0.7), (0.1, 0.55), (0.55, 0.1)):
+            z = np.full((16, 16), c)
+            assert M.q_w(z, z, np.full((16, 16), d)) == 0.0, (c, d)
 
     def test_flat_sources_noisy_patch_matches_oracle(self):
         a = np.full((32, 32), 0.7)
@@ -71,6 +77,37 @@ class TestQw:
         # a flat window has covariance exactly 0, so the index is exactly 504/625
         assert M.q_w(a, a.copy(), f) == 504 / 625
         assert qw_naive(a, a, f) == 504 / 625
+
+    @pytest.mark.parametrize("case", ["levels", "flat_blocks", "flat_0.3", "flat_0.55"])
+    def test_quantised_images_match_oracle(self, case):
+        # Levels k/4 make every window sum exact, so the one-pass moments are
+        # exact; flat blocks exercise the max == min rule. Noise of 1e-17 is
+        # below half an ulp of the level, so that block is exactly flat at a
+        # level float64 cannot hold, where E[x^2] - mean^2 leaves rounding residue
+        # (below 0 for 0.3, above 0 for 0.55).
+        g = np.random.default_rng(21)
+        a, b = (g.integers(0, 5, (24, 20)) / 4.0 for _ in range(2))
+        f = np.where(g.random(a.shape) < 0.5, a, b)
+        if case == "flat_blocks":
+            a[:12, :12] = 0.5
+            b[6:18, 4:16] = 0.75
+            f[10:, 8:] = 0.25
+        if case.startswith("flat_0."):
+            level = float(case[5:])
+            for x, (i, j) in zip((a, b, f), ((0, 0), (4, 6), (9, 3))):
+                x[i : i + 14, j : j + 12] = level + 1e-17 * g.uniform(-1.0, 1.0, (14, 12))
+            assert np.all(f[9:23, 3:15] == level)
+        assert abs(M.q_w(a, b, f) - qw_naive(a, b, f)) <= 1e-12
+
+    def test_peak_memory_256(self):
+        a, b, f = triple(16, size=256)
+        tracemalloc.start()
+        try:
+            M.q_w(a, b, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_noise_scores_below_structured(self):
         a, b, _ = triple(6)
