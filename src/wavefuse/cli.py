@@ -1,5 +1,5 @@
 """Command-line interface: fuse, fuse-opt, decompose, analyze-bands, metrics,
-gradcheck, init-weights, selftest.
+gradcheck, init-weights.
 
 Exit codes: 0 success, 2 input/validation error, 3 weights/format error,
 4 internal invariant violation.
@@ -71,14 +71,12 @@ def _add_field_flags(p, cls, specs):
         )
 
 
-# Weight shapes: fuse reads these from the weights file.
-SHAPE_FLAGS = (
+# init-weights records these in the weights file, where fuse reads them.
+NET_FLAGS = (
     ("channels", "feature channels"),
     ("blocks", "enhance block count"),
     ("reduction", "channel-gate reduction"),
     ("mlp_ratio", "MLP expansion ratio"),
-)
-ATTENTION_FLAGS = (
     ("window", "attention window size"),
     ("heads", "attention heads"),
     ("cross_route", "which projections cross modalities in band attention, qv or k", "--route"),
@@ -123,8 +121,7 @@ def _emit_color(fused_y, chroma, out_path):
 
 def cmd_fuse(args):
     ya, yb, chroma = _load_pair(args)
-    weights = network.load_weights(args.weights)
-    cfg = network.config_from_weights(weights, args.window, args.heads, args.cross_route)
+    weights, cfg = network.load_weights(args.weights)
     _emit_color(network.forward(ya, yb, weights, cfg), chroma, args.output)
     return EXIT_OK
 
@@ -184,52 +181,7 @@ def cmd_gradcheck(args):
 
 def cmd_init_weights(args):
     cfg = _from_args(network.NetConfig, args)
-    network.save_weights(network.init_weights(cfg, args.seed), args.output)
-    return EXIT_OK
-
-
-def cmd_selftest(args):
-    failures = []
-
-    def check(name, ok):
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures.append(name)
-
-    rng = np.random.default_rng(7)
-    from .wavelet import iwt2
-
-    x = rng.standard_normal((2, 3, 16, 16))
-    rec = iwt2(dwt2(x))
-    check("wavelet perfect reconstruction", np.abs(rec - x).max() < 1e-12)
-    e_in = (x**2).sum()
-    s = dwt2(x)
-    e_out = sum((p**2).sum() for p in (s.ll, s.lh, s.hl, s.hh))
-    check("wavelet energy conservation", abs(e_out - e_in) / e_in < 1e-9)
-
-    from .tensor import softmax_rows
-
-    sm = softmax_rows(rng.standard_normal((50, 9)))
-    check("softmax rows sum to 1", np.abs(sm.sum(axis=1) - 1).max() < 1e-12)
-
-    cfg = network.NetConfig()
-    zw = network.zero_weights(cfg)
-    feat = rng.standard_normal((1, cfg.channels, 32, 32))
-    o1, o2 = network.enhance_block(feat, feat.copy(), 0, zw, cfg)
-    check("zero-weight block is identity", np.array_equal(o1, feat))
-
-    img = np.clip(rng.uniform(0, 1, (32, 32)), 0, 1)
-    check("ssim(x,x)=1", abs(losses.ssim(img, img) - 1) < 1e-12)
-    check("q_w self-fusion", abs(metrics.q_w(img, img, img) - 1) < 1e-9)
-    check("fmi self-fusion", metrics.fmi(img, img, img) == 1.0)
-
-    f, a, b = (smooth_image(rng) for _ in range(3))
-    check("gradient check", losses.gradcheck(f, a, b, seed=7) < 1e-4)
-
-    if failures:
-        print(f"{len(failures)} selftest failure(s)")
-        return EXIT_INTERNAL
-    print("all selftests passed")
+    network.save_weights(network.init_weights(cfg, args.seed), cfg, args.output)
     return EXIT_OK
 
 
@@ -244,7 +196,6 @@ def build_parser():
     p = sub.add_parser("fuse", help="fuse two images with the network")
     _add_pair_args(p)
     p.add_argument("--weights", required=True, help="weights file path")
-    _add_field_flags(p, network.NetConfig, ATTENTION_FLAGS)
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("fuse-opt", help="fuse by direct loss minimization")
@@ -280,11 +231,8 @@ def build_parser():
     p = sub.add_parser("init-weights", help="write seeded random weights")
     p.add_argument("output")
     p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
-    _add_field_flags(p, network.NetConfig, SHAPE_FLAGS + ATTENTION_FLAGS)
+    _add_field_flags(p, network.NetConfig, NET_FLAGS)
     p.set_defaults(func=cmd_init_weights)
-
-    p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 

@@ -3,12 +3,14 @@ blocks, the fusion/reconstruction head, and weight (de)serialization.
 
 Weights live in a flat name -> float64 array map validated against the schema
 implied by the configuration. The binary container is versioned, little-endian
-and CRC-protected (see save_weights).
+and CRC-protected, and it records the whole NetConfig next to the tensors, so
+load_weights returns a checked (weights, cfg) pair (see save_weights).
 """
 
+import math
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +26,9 @@ from .imageio import check_images, from_tensor, to_tensor
 from .wavelet import dwt2, iwt2, pack_high, unpack
 
 MAGIC = b"WFW1"
-VERSION = 1
+VERSION = 2
 SLOPE = 0.1  # negative slope of every Leaky-ReLU
+SIZES = ("channels", "blocks", "window", "heads", "reduction", "mlp_ratio")
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,7 @@ class NetConfig:
     cross_route: str = "qv"  # "qv": queries/values cross modalities, "k": keys
 
     def __post_init__(self):
-        for name in ("channels", "blocks", "window", "heads", "reduction", "mlp_ratio"):
+        for name in SIZES:
             if getattr(self, name) < 1:
                 raise ShapeError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.channels % self.heads:
@@ -101,21 +104,6 @@ def validate_weights(weights, cfg):
             raise FormatError(
                 f"weight {name} has shape {weights[name].shape}, expected {shape}"
             )
-
-
-def config_from_weights(weights, window, heads, cross_route):
-    """The config whose weight schema `weights` match, with the attention
-    settings a weights file does not record. Inverse of weight_schema."""
-    try:
-        c = weights["fe1.1.weight"].shape[0]
-        blocks = len({name.split(".")[0] for name in weights if name.startswith("block")})
-        reduction = c // weights["block0.s1.cbam.ca_w1"].shape[0]
-        mlp_ratio = weights["block0.s1.mlp.w1"].shape[0] // c
-        cfg = NetConfig(c, blocks, heads=1, reduction=reduction, mlp_ratio=mlp_ratio)
-    except (KeyError, IndexError, ZeroDivisionError, ShapeError) as exc:
-        raise FormatError(f"weights do not describe a network: {exc!r}") from exc
-    validate_weights(weights, cfg)
-    return replace(cfg, window=window, heads=heads, cross_route=cross_route)
 
 
 def init_weights(cfg, seed):
@@ -258,13 +246,17 @@ def forward(i1, i2, weights, cfg):
     return from_tensor(x)
 
 
-def save_weights(weights, path):
-    """Binary container: magic, u32 version, u32 count, a name/shape table,
-    f64 little-endian payloads in table order, trailing CRC32."""
-    body = bytearray()
-    body += MAGIC
-    body += struct.pack("<II", VERSION, len(weights))
+def save_weights(weights, cfg, path):
+    """Binary container: magic, u32 version, the config (six u32 sizes in
+    SIZES order, then a u8 length and the UTF-8 route), u32 tensor count, a
+    name/shape table, f64 little-endian payloads in table order, trailing
+    CRC32 of everything before it."""
     names = sorted(weights)
+    route = cfg.cross_route.encode("utf-8")
+    body = bytearray(MAGIC)
+    body += struct.pack("<7I", VERSION, *(getattr(cfg, f) for f in SIZES))
+    body += struct.pack("<B", len(route)) + route
+    body += struct.pack("<I", len(names))
     for name in names:
         arr = weights[name]
         enc = name.encode("utf-8")
@@ -273,52 +265,58 @@ def save_weights(weights, path):
         body += struct.pack("<%dI" % arr.ndim, *arr.shape)
     for name in names:
         body += np.ascontiguousarray(weights[name], dtype="<f8").tobytes()
-    body += struct.pack("<I", zlib.crc32(bytes(body)))
+    body += struct.pack("<I", zlib.crc32(body))
     with open(path, "wb") as fh:
-        fh.write(bytes(body))
+        fh.write(body)
 
 
 def load_weights(path):
+    """Read a weights file as (weights, cfg): the tensors and the NetConfig
+    it records, checked against each other. Raises FormatError otherwise."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    if len(buf) < 16:
+    if len(buf) < 12:
         raise FormatError(f"weights file truncated: {len(buf)} bytes")
     if buf[:4] != MAGIC:
         raise FormatError(f"bad magic {buf[:4]!r}, expected {MAGIC!r}")
-    stored_crc = struct.unpack("<I", buf[-4:])[0]
-    if zlib.crc32(buf[:-4]) != stored_crc:
+    body = buf[:-4]
+    if zlib.crc32(body) != struct.unpack("<I", buf[-4:])[0]:
         raise FormatError("CRC mismatch: weights file corrupted")
-    version, count = struct.unpack_from("<II", buf, 4)
+    (version,) = struct.unpack_from("<I", body, 4)
     if version != VERSION:
-        raise FormatError(f"unsupported version {version}, expected {VERSION}")
-    pos = 12
-    table = []
-    try:
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", buf, pos)
-            pos += 2
-            name = buf[pos : pos + nlen].decode("utf-8")
-            pos += nlen
-            (rank,) = struct.unpack_from("<B", buf, pos)
-            pos += 1
-            shape = struct.unpack_from("<%dI" % rank, buf, pos)
-            pos += 4 * rank
-            table.append((name, shape))
-    except struct.error as exc:
-        raise FormatError(f"truncated weights table: {exc}") from exc
-    weights = {}
-    for name, shape in table:
-        n = int(np.prod(shape)) if shape else 1
-        end = pos + 8 * n
-        if end > len(buf) - 4:
-            raise FormatError(f"truncated payload for tensor {name}")
-        weights[name] = (
-            np.frombuffer(buf[pos:end], dtype="<f8").astype(np.float64).reshape(shape)
+        raise FormatError(
+            f"unsupported weights version {version}, expected {VERSION}: "
+            "re-create the file with `wavefuse init-weights`"
         )
-        pos = end
-    if pos != len(buf) - 4:
-        raise FormatError(f"{len(buf) - 4 - pos} trailing bytes after payloads")
+    try:
+        sizes = struct.unpack_from("<6I", body, 8)
+        (rlen,) = struct.unpack_from("<B", body, 32)
+        route = body[33 : 33 + rlen].decode("utf-8")
+        (count,) = struct.unpack_from("<I", body, 33 + rlen)
+        pos = 37 + rlen
+        table = []
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<H", body, pos)
+            name = body[pos + 2 : pos + 2 + nlen].decode("utf-8")
+            (rank,) = struct.unpack_from("<B", body, pos + 2 + nlen)
+            pos += 3 + nlen
+            table.append((name, struct.unpack_from("<%dI" % rank, body, pos)))
+            pos += 4 * rank
+        weights = {}
+        for name, shape in table:
+            end = pos + 8 * math.prod(shape)
+            if end > len(body):
+                raise FormatError(f"truncated payload for tensor {name}")
+            weights[name] = np.frombuffer(body[pos:end], "<f8").astype(np.float64).reshape(shape)
+            pos = end
+        cfg = NetConfig(**dict(zip(SIZES, sizes)), cross_route=route)
+    except (struct.error, ValueError, ShapeError) as exc:
+        raise FormatError(f"malformed weights file: {exc}") from exc
+    if pos != len(body):
+        raise FormatError(f"{len(body) - pos} trailing bytes after payloads")
     if len(weights) != count:
-        dupes = count - len(weights)
-        raise FormatError(f"{dupes} duplicate tensor names in table")
-    return weights
+        raise FormatError(f"{count - len(weights)} duplicate tensor names in table")
+    if cfg.blocks > count:  # bounds the schema validate_weights builds
+        raise FormatError(f"{cfg.blocks} blocks recorded but only {count} tensors")
+    validate_weights(weights, cfg)
+    return weights, cfg

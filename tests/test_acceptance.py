@@ -205,8 +205,8 @@ def test_criterion_10_serialization(tmp_path):
     cfg = network.NetConfig(channels=8, blocks=1, window=4, heads=2, reduction=2)
     w = network.init_weights(cfg, 0)
     wpath = tmp_path / "w.wfw"
-    network.save_weights(w, wpath)
-    back = network.load_weights(wpath)
+    network.save_weights(w, cfg, wpath)
+    back, _ = network.load_weights(wpath)
     ok = all(np.array_equal(back[k], w[k]) for k in w) and set(back) == set(w)
 
     subs = dwt2(np.random.default_rng(6).uniform(0, 1, (1, 1, 16, 18)))
@@ -226,8 +226,7 @@ def test_criterion_10_serialization(tmp_path):
 
     save_pnm(np.full((16, 16), 0.5), img)
     code = cli.main(
-        ["fuse", str(img), str(img), "--weights", str(bad), "-o", str(tmp_path / "o.pgm"),
-         "--window", "4", "--heads", "2"]
+        ["fuse", str(img), str(img), "--weights", str(bad), "-o", str(tmp_path / "o.pgm")]
     )
     ok &= code == 3
 

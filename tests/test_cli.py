@@ -1,5 +1,8 @@
+import argparse
 import re
 import shlex
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -33,21 +36,19 @@ def images(tmp_path):
 def weights_path(tmp_path):
     cfg = network.NetConfig(channels=8, blocks=1, window=4, heads=2, reduction=2)
     path = tmp_path / "w.wfw"
-    network.save_weights(network.init_weights(cfg, 0), path)
+    network.save_weights(network.init_weights(cfg, 0), cfg, path)
     return str(path)
 
 
-# fuse reads the weight shapes from the file; the attention flags it still needs.
-FUSE_FLAGS = ["--window", "4", "--heads", "2"]
-SMALL_FLAGS = ["--channels", "8", "--blocks", "1", "--reduction", "2"] + FUSE_FLAGS
+SMALL_FLAGS = ["--channels", "8", "--blocks", "1", "--reduction", "2", "--window", "4",
+               "--heads", "2"]
 
 
 class TestFuse:
     def test_fuse_writes_output(self, images, weights_path):
         a, b, tmp = images
         out = str(tmp / "fused.pgm")
-        code = cli.main(["fuse", a, b, "--weights", weights_path, "-o", out]
-                        + FUSE_FLAGS)
+        code = cli.main(["fuse", a, b, "--weights", weights_path, "-o", out])
         assert code == 0
         fused = load_pnm(out)
         assert fused.shape == (32, 32)
@@ -56,8 +57,7 @@ class TestFuse:
         a, _, tmp = images
         small = write_image(tmp / "small.pgm", np.zeros((8, 8)))
         out = str(tmp / "x.pgm")
-        code = cli.main(["fuse", a, small, "--weights", weights_path, "-o", out]
-                        + FUSE_FLAGS)
+        code = cli.main(["fuse", a, small, "--weights", weights_path, "-o", out])
         assert code == 2
         err = capsys.readouterr().err
         assert "(32, 32)" in err and "(8, 8)" in err
@@ -66,8 +66,7 @@ class TestFuse:
         a, b, tmp = images
         bad = tmp_path / "bad.wfw"
         bad.write_bytes(b"XXXX not weights")
-        code = cli.main(["fuse", a, b, "--weights", str(bad), "-o", str(tmp / "x.pgm")]
-                        + FUSE_FLAGS)
+        code = cli.main(["fuse", a, b, "--weights", str(bad), "-o", str(tmp / "x.pgm")])
         assert code == 3
 
     def test_missing_input_exit_2(self, weights_path, tmp_path):
@@ -84,18 +83,20 @@ class TestFuse:
         a = write_image(tmp_path / "a.ppm", rgb_a)
         b = write_image(tmp_path / "b.ppm", rgb_b)
         out = str(tmp_path / "f.ppm")
-        code = cli.main(["fuse", a, b, "--weights", weights_path, "-o", out]
-                        + FUSE_FLAGS)
+        code = cli.main(["fuse", a, b, "--weights", weights_path, "-o", out])
         assert code == 0
         assert load_pnm(out).shape == (16, 16, 3)
 
     def test_shapes_come_from_the_weights_file(self, images):
+        # Every NetConfig field differs from its default; fuse gets none of them.
         a, b, tmp = images
         wpath, out, ref = (str(tmp / name) for name in ("w.wfw", "f.pgm", "ref.pgm"))
-        shapes = ["--channels", "8", "--blocks", "3", "--reduction", "2", "--mlp-ratio", "3"]
-        assert cli.main(["init-weights", wpath] + shapes + FUSE_FLAGS) == 0
-        assert cli.main(["fuse", a, b, "--weights", wpath, "-o", out] + FUSE_FLAGS) == 0
-        cfg = network.NetConfig(channels=8, blocks=3, window=4, heads=2, reduction=2, mlp_ratio=3)
+        flags = ["--channels", "8", "--blocks", "3", "--reduction", "2", "--mlp-ratio", "3",
+                 "--window", "4", "--heads", "2", "--route", "k"]
+        assert cli.main(["init-weights", wpath] + flags) == 0
+        assert cli.main(["fuse", a, b, "--weights", wpath, "-o", out]) == 0
+        cfg = network.NetConfig(channels=8, blocks=3, window=4, heads=2, reduction=2, mlp_ratio=3,
+                                cross_route="k")
         want = network.forward(load_pnm(a), load_pnm(b), network.init_weights(cfg, 0), cfg)
         save_pnm(want, ref)
         assert np.array_equal(load_pnm(out), load_pnm(ref))
@@ -104,13 +105,13 @@ class TestFuse:
         a, b, tmp = images
         with pytest.raises(SystemExit) as exc:
             cli.main(["fuse", a, b, "--weights", weights_path, "-o", str(tmp / "x.pgm"),
-                      "--channels", "8"] + FUSE_FLAGS)
+                      "--channels", "8"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("edit", ["drop_extractor", "gate_width", "mlp_width"])
     def test_weights_that_are_no_network_exit_3(self, images, weights_path, edit):
         a, b, tmp = images
-        w = network.load_weights(weights_path)
+        w, cfg = network.load_weights(weights_path)
         if edit == "drop_extractor":
             del w["fe1.1.weight"]
         elif edit == "gate_width":
@@ -118,19 +119,33 @@ class TestFuse:
         else:
             w["block0.s1.mlp.w1"] = np.zeros((4, 8))
         bad = str(tmp / "bad.wfw")
-        network.save_weights(w, bad)
-        code = cli.main(["fuse", a, b, "--weights", bad, "-o", str(tmp / "x.pgm")] + FUSE_FLAGS)
+        network.save_weights(w, cfg, bad)
+        code = cli.main(["fuse", a, b, "--weights", bad, "-o", str(tmp / "x.pgm")])
         assert code == 3
 
     @pytest.mark.parametrize("flags", [
         ["--window", "4", "--heads", "3"],
         ["--window", "0", "--heads", "2"],
         ["--window", "4", "--heads", "-1"],
+        ["--route", "k"],
     ])
     def test_bad_attention_flags_exit_2(self, images, weights_path, flags):
+        # The weights file records the attention settings; fuse takes none.
         a, b, tmp = images
         out = str(tmp / "x.pgm")
-        assert cli.main(["fuse", a, b, "--weights", weights_path, "-o", out] + flags) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fuse", a, b, "--weights", weights_path, "-o", out] + flags)
+        assert exc.value.code == 2
+
+    def test_version_1_file_exit_3(self, images, weights_path, capsys):
+        # A version-1 file is a version-2 file without the config record.
+        a, b, tmp = images
+        v2 = Path(weights_path).read_bytes()[:-4]
+        v1 = network.MAGIC + struct.pack("<I", 1) + v2[33 + v2[32]:]
+        bad = tmp / "v1.wfw"
+        bad.write_bytes(v1 + struct.pack("<I", zlib.crc32(v1)))
+        assert cli.main(["fuse", a, b, "--weights", str(bad), "-o", str(tmp / "x.pgm")]) == 3
+        assert "init-weights" in capsys.readouterr().err
 
 
 class TestFuseOpt:
@@ -226,7 +241,7 @@ class TestOtherCommands:
         assert cli.main(["gradcheck", "--size", "32"]) == 0
         assert "gradient error" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag", ["--heads", "--reduction", "--blocks"])
+    @pytest.mark.parametrize("flag", ["--heads", "--reduction", "--blocks", "--window"])
     def test_init_weights_size_zero_exit_2(self, tmp_path, flag):
         assert cli.main(["init-weights", str(tmp_path / "w.wfw"), flag, "0"]) == 2
 
@@ -234,16 +249,10 @@ class TestOtherCommands:
         out = tmp_path / "w.wfw"
         assert cli.main(["init-weights", str(out)] + SMALL_FLAGS) == 0
         cfg = network.NetConfig(channels=8, blocks=1, window=4, heads=2, reduction=2)
-        loaded = network.load_weights(out)
-        network.validate_weights(loaded, cfg)
+        loaded, got = network.load_weights(out)
+        assert got == cfg
         want = network.init_weights(cfg, 0)
         assert all(np.array_equal(loaded[k], want[k]) for k in want)
-
-    def test_selftest(self, capsys):
-        assert cli.main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") == 8
 
     def test_help_shows_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -260,7 +269,8 @@ def test_readme_commands_parse():
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
     lines = [line for block in blocks for line in block.splitlines()]
     commands = [shlex.split(line, comments=True) for line in lines if line.startswith("wavefuse ")]
-    assert len(commands) >= 8
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) <= {argv[1] for argv in commands}

@@ -1,4 +1,7 @@
-from dataclasses import replace
+import struct
+import zlib
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,14 +62,17 @@ class TestConfigAndSchema:
 
 
 class TestConfigFromWeights:
+    """load_weights returns the NetConfig a file records, checked against its tensors."""
+
     @pytest.mark.parametrize("cfg", [
         SMALL,
         replace(SMALL, blocks=3, mlp_ratio=3, cross_route="k"),
         net.NetConfig(channels=12, blocks=1, window=2, heads=3, reduction=3, mlp_ratio=1),
     ])
-    def test_inverts_the_schema(self, cfg):
-        w = net.init_weights(cfg, 0)
-        assert net.config_from_weights(w, cfg.window, cfg.heads, cfg.cross_route) == cfg
+    def test_file_records_every_field(self, cfg, tmp_path):
+        path = tmp_path / "w.wfw"
+        net.save_weights(net.init_weights(cfg, 0), cfg, path)
+        assert net.load_weights(path)[1] == cfg
 
     @pytest.mark.parametrize("name, shape", [
         ("fe1.1.weight", None),
@@ -79,18 +85,23 @@ class TestConfigFromWeights:
         ("block1.s2.mlp.w1", (24, 8)),
         ("block3.s1.ln1.gain", (8,)),
     ])
-    def test_weights_that_are_no_network(self, name, shape):
+    def test_weights_that_are_no_network(self, name, shape, tmp_path):
         w = net.init_weights(SMALL, 0)
         if shape is None:
             del w[name]
         else:
             w[name] = np.zeros(shape)
+        path = tmp_path / "w.wfw"
+        net.save_weights(w, SMALL, path)
         with pytest.raises(FormatError):
-            net.config_from_weights(w, 4, 2, "qv")
+            net.load_weights(path)
 
-    def test_heads_must_divide_the_file_channels(self):
-        with pytest.raises(ShapeError):
-            net.config_from_weights(net.init_weights(SMALL, 0), 4, 3, "qv")
+    def test_heads_must_divide_the_file_channels(self, tmp_path):
+        path = tmp_path / "w.wfw"
+        record = SimpleNamespace(**{**asdict(SMALL), "heads": 3})
+        net.save_weights(net.init_weights(SMALL, 0), record, path)
+        with pytest.raises(FormatError, match="heads"):
+            net.load_weights(path)
 
 
 class TestInit:
@@ -278,8 +289,9 @@ class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
         w = net.init_weights(SMALL, 7)
         path = tmp_path / "w.wfw"
-        net.save_weights(w, path)
-        back = net.load_weights(path)
+        net.save_weights(w, SMALL, path)
+        back, cfg = net.load_weights(path)
+        assert cfg == SMALL
         assert set(back) == set(w)
         for name in w:
             assert np.array_equal(back[name], w[name])
@@ -287,7 +299,7 @@ class TestSerialization:
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "w.wfw"
-        net.save_weights(net.zero_weights(SMALL), path)
+        net.save_weights(net.zero_weights(SMALL), SMALL, path)
         data = bytearray(path.read_bytes())
         data[:4] = b"NOPE"
         path.write_bytes(bytes(data))
@@ -296,7 +308,7 @@ class TestSerialization:
 
     def test_crc_corruption(self, tmp_path):
         path = tmp_path / "w.wfw"
-        net.save_weights(net.init_weights(SMALL, 0), path)
+        net.save_weights(net.init_weights(SMALL, 0), SMALL, path)
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0xFF
         path.write_bytes(bytes(data))
@@ -310,9 +322,6 @@ class TestSerialization:
             net.load_weights(path)
 
     def test_bad_version(self, tmp_path):
-        import struct
-        import zlib
-
         body = b"WFW1" + struct.pack("<II", 9, 0)
         body += struct.pack("<I", zlib.crc32(body))
         path = tmp_path / "w.wfw"
@@ -326,6 +335,14 @@ class TestSerialization:
         b = rng.uniform(0, 1, (8, 8))
         want = net.forward(a, b, w, SMALL)
         path = tmp_path / "w.wfw"
-        net.save_weights(w, path)
-        got = net.forward(a, b, net.load_weights(path), SMALL)
+        net.save_weights(w, SMALL, path)
+        got = net.forward(a, b, *net.load_weights(path))
         assert np.array_equal(got, want)
+
+    def test_name_that_is_no_utf8(self, tmp_path):
+        path = tmp_path / "w.wfw"
+        net.save_weights({"\u00e9": np.zeros(1)}, SMALL, path)
+        body = path.read_bytes()[:-4].replace("\u00e9".encode(), b"\xff\xfe")
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match="utf-8"):
+            net.load_weights(path)
