@@ -116,10 +116,12 @@ def mhsa(q_src, k_src, v_src, p):
     if c % h:
         raise ShapeError(f"heads {h} must divide channels {c}")
     d = c // h
-    q = (q_src.tokens @ p.wq).reshape(nwin, t, h, d).transpose(0, 2, 1, 3)
-    k = (k_src.tokens @ p.wk).reshape(nwin, t, h, d).transpose(0, 2, 1, 3)
+    # The 1/sqrt(d) logit scale rides on wq, and K is laid out (nwin, h, d, t),
+    # so q @ k is the scaled logits with no transpose or division over them.
+    q = (q_src.tokens @ (p.wq / np.sqrt(d))).reshape(nwin, t, h, d).transpose(0, 2, 1, 3)
+    k = (k_src.tokens @ p.wk).reshape(nwin, t, h, d).transpose(0, 2, 3, 1)
     v = (v_src.tokens @ p.wv).reshape(nwin, t, h, d).transpose(0, 2, 1, 3)
-    attn = softmax_rows(q @ k.transpose(0, 1, 3, 2) / np.sqrt(d))
+    attn = softmax_rows(q @ k)
     out = (attn @ v).transpose(0, 2, 1, 3).reshape(nwin, t, c) @ p.wo
     return replace(q_src, tokens=out)
 

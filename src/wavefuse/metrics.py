@@ -108,10 +108,14 @@ def _window_stats(x):
 
 def _q0(x, mean_x, var_x, y, mean_y, var_y):
     """Universal image quality index per sliding window."""
-    cov = _window_mean(x * y) - mean_x * mean_y
-    # A flat window has covariance exactly 0 with any other; the one-pass
-    # formula above leaves rounding residue there.
-    cov[(var_x == 0.0) | (var_y == 0.0)] = 0.0
+    # The one-pass covariance leaves rounding residue that can exceed the
+    # Cauchy-Schwarz bound sqrt(var_x * var_y) on windows whose pixels differ
+    # by an ulp, and that is nonzero on flat windows, whose covariance with
+    # any other is exactly 0. Clamped to the bound, |Q0| <= 1 up to rounding.
+    # The bound is dropped at once: q_w's peak memory is reached below.
+    bound = np.sqrt(var_x * var_y)
+    cov = np.clip(_window_mean(x * y) - mean_x * mean_y, -bound, bound)
+    del bound
     num = 4.0 * cov * mean_x * mean_y
     den = (var_x + var_y) * (mean_x**2 + mean_y**2)
     out = np.empty_like(num)

@@ -1,12 +1,12 @@
 """Dense (B, C, H, W) float64 kernels: convolution, softmax, layer norm.
 
-All functions are pure and deterministic; arrays are never mutated in place.
-The canonical carrier is a contiguous numpy float64 array in (batch, channel,
-height, width) order.
+All functions are pure and deterministic: inputs are never written, though a
+kernel may work in place on an array it allocated itself. The canonical
+carrier is a contiguous numpy float64 array in (batch, channel, height, width)
+order; conv2d works channels-last inside and transposes back.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -36,19 +36,27 @@ def conv2d(x, kernel, bias):
         )
     if bias.shape != (cout,):
         raise ShapeError(f"bias shape {bias.shape} does not match Cout {cout}")
+    b, _, h, w = x.shape
     pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))
-    out = np.einsum("bihwuv,oiuv->bohw", win, kernel, optimize=True)
-    return out + bias[None, :, None, None]
+    # One (B*H*W, Cin) @ (Cin, Cout) product per tap on a channels-last copy;
+    # no im2col buffer of k*k shifted copies is built.
+    xt = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    taps = kernel.transpose(2, 3, 1, 0)
+    out = np.zeros((b, h, w, cout))
+    for u in range(k):
+        for v in range(k):
+            out += xt[:, u : u + h, v : v + w, :] @ taps[u, v]
+    out += bias
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
 def softmax_rows(m):
     """Row-wise softmax with max-subtraction for stability."""
     m = np.asarray(m, dtype=np.float64)
-    z = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    out = m - m.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def layer_norm(x, gain, shift, eps=1e-5):

@@ -142,14 +142,16 @@ class TestCrossModalAttention:
     @pytest.mark.parametrize("shift", [0, 2])
     def test_matches_loop_oracle(self, rng, route, shift):
         # a non-square grid of 2x3 windows, so the cyclic shift changes which
-        # pixels share a window
+        # pixels share a window; head dims 8, 4 and 2, so the 1/sqrt(d) folded
+        # into wq is exact (d = 4) and inexact (d = 2, 8)
         x1 = rng.standard_normal((2, 8, 8, 12))
         x2 = rng.standard_normal((2, 8, 8, 12))
-        p1, p2 = random_params(rng), random_params(rng)
-        got = att.cross_modal_attention(x1, x2, p1, p2, 4, shift, route)
-        want = cross_modal_attention_naive(x1, x2, p1, p2, 4, shift, route)
-        for g, w in zip(got, want):
-            assert np.abs(g - w).max() <= 1e-12
+        for heads in (1, 2, 4):
+            p1, p2 = random_params(rng, heads=heads), random_params(rng, heads=heads)
+            got = att.cross_modal_attention(x1, x2, p1, p2, 4, shift, route)
+            want = cross_modal_attention_naive(x1, x2, p1, p2, 4, shift, route)
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= 1e-12, heads
 
     def test_k_route_swaps_outputs(self, rng):
         x1 = rng.standard_normal((1, 8, 8, 8))

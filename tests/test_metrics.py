@@ -99,6 +99,18 @@ class TestQw:
             assert np.all(f[9:23, 3:15] == level)
         assert abs(M.q_w(a, b, f) - qw_naive(a, b, f)) <= 1e-12
 
+    def test_ulp_windows_stay_in_range(self):
+        # Pixels are c or the next float above it, so every window's true
+        # variance and covariance are ~1e-33, below the rounding residue of
+        # the one-pass formulas; unclamped, that residue carried Q0 up to 1.65.
+        # With the covariance clamped, only the rounding of the final ratios
+        # and weights remains.
+        g = np.random.default_rng(0)
+        for _ in range(300):
+            c = g.uniform(0.05, 0.95)
+            a, b, f = np.where(g.random((3, 12, 12)) < 0.5, c, np.nextafter(c, 2.0))
+            assert abs(M.q_w(a, b, f)) <= 1.0 + 4 * np.finfo(float).eps, c
+
     def test_peak_memory_256(self):
         a, b, f = triple(16, size=256)
         tracemalloc.start()

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 from dataclasses import asdict, replace
 from types import SimpleNamespace
@@ -278,6 +279,18 @@ class TestForward:
         b = rng.uniform(0, 1, (13, 9))
         got = net.forward(a, b, w, SMALL)
         assert np.abs(got - forward_naive(a, b, w, SMALL)).max() <= 1e-12
+
+    def test_peak_memory_64(self, rng):
+        cfg = net.NetConfig()
+        w = net.init_weights(cfg, 0)
+        a, b = rng.uniform(0, 1, (2, 64, 64))
+        tracemalloc.start()
+        try:
+            net.forward(a, b, w, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_size_mismatch(self, rng):
         w = net.init_weights(SMALL, 0)

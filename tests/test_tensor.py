@@ -37,6 +37,19 @@ class TestConv2d:
         want = conv2d_naive(x, k, b, 1)
         assert np.allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("cout", [1, 16])
+    @pytest.mark.parametrize("cin", [1, 2, 16, 32])
+    def test_matches_naive_grid(self, rng, cin, cout, k):
+        # non-square images, batch 1 and 3, and one image smaller than 7x7
+        for b, h, w in ((1, 5, 9), (3, 4, 3), (1, 3, 5)):
+            x = rng.standard_normal((b, cin, h, w))
+            kern = rng.standard_normal((cout, cin, k, k))
+            bias = rng.standard_normal(cout)
+            want = conv2d_naive(x, kern, bias, (k - 1) // 2)
+            err = np.abs(T.conv2d(x, kern, bias) - want).max()
+            assert err <= 1e-12 * np.abs(want).max(), (b, h, w, err)
+
     def test_linearity(self, rng):
         x = rng.standard_normal((1, 2, 8, 8))
         y = rng.standard_normal((1, 2, 8, 8))
@@ -81,6 +94,15 @@ class TestSoftmax:
         m = g.standard_normal((4, 5))
         shifted = m + g.standard_normal((4, 1))
         assert np.allclose(T.softmax_rows(m), T.softmax_rows(shifted), atol=1e-12)
+
+    def test_input_unchanged_and_formula_bit_exact(self, rng):
+        m = rng.standard_normal((2, 3, 5, 7)) * 10
+        before = m.copy()
+        out = T.softmax_rows(m)
+        assert np.array_equal(m, before)
+        z = m - m.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        assert np.array_equal(out, e / e.sum(axis=-1, keepdims=True))
 
 
 class TestLayerNorm:
