@@ -1,10 +1,15 @@
 """Dense (B, C, H, W) float64 kernels: convolution, softmax, layer norm.
 
-All functions are pure and deterministic: inputs are never written, though a
-kernel may work in place on an array it allocated itself. The canonical
-carrier is a contiguous numpy float64 array in (batch, channel, height, width)
-order; conv2d works channels-last inside and transposes back.
+All functions are deterministic. Every kernel but softmax_rows leaves its
+inputs unwritten; softmax_rows normalises a contiguous float64 argument in
+place (its one caller passes logits it owns) and splits the rows over the
+usable cores, with bit-identical results whatever the core count. The
+canonical carrier is a contiguous numpy float64 array in (batch, channel,
+height, width) order; conv2d works channels-last inside and transposes back.
 """
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -50,13 +55,44 @@ def conv2d(x, kernel, bias):
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
+# Fewest elements per thread when softmax_rows splits: a 256² forward's calls
+# (4 M to 12 M logits) split; those of forwards up to 80² (≤ 1.2 M) do not.
+_MIN_PART = 2**20
+
+
+def _softmax_part(rows):
+    rows -= rows.max(axis=-1, keepdims=True)
+    np.exp(rows, out=rows)
+    rows /= rows.sum(axis=-1, keepdims=True)
+
+
 def softmax_rows(m):
-    """Row-wise softmax with max-subtraction for stability."""
-    m = np.asarray(m, dtype=np.float64)
-    out = m - m.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
+    """Row-wise softmax over the last axis, with max-subtraction for stability.
+
+    A C-contiguous float64 `m` is overwritten with its softmax and returned;
+    any other input is converted to such a copy first, which is returned.
+    Inputs of at least 2 * _MIN_PART elements are split into contiguous blocks
+    of rows, one per usable core, on a pool that lives for this call only (a
+    forked child inherits no pool threads). Each row is computed exactly as in
+    a serial pass, so the result does not depend on the core count.
+    """
+    m = np.ascontiguousarray(m, dtype=np.float64)
+    rows = m.reshape(-1, m.shape[-1])
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    parts = max(1, min(cpus, len(rows), m.size // _MIN_PART))
+    if parts == 1:
+        _softmax_part(rows)
+        return m
+    first, *rest = np.array_split(rows, parts)
+    with ThreadPoolExecutor(parts - 1) as pool:
+        futures = [pool.submit(_softmax_part, block) for block in rest]
+        _softmax_part(first)
+        for f in futures:
+            f.result()
+    return m
 
 
 def layer_norm(x, gain, shift, eps=1e-5):

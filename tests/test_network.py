@@ -1,7 +1,11 @@
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from dataclasses import asdict, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -290,7 +294,36 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < 16 * 2**20
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs CPU affinity and at least two usable CPUs",
+    )
+    def test_same_output_on_one_cpu(self, rng, tmp_path):
+        # At 128² the high-band logits have 3.1 M elements, so softmax_rows
+        # splits them over the cores here and runs them whole on one CPU.
+        cfg = net.NetConfig()
+        w = net.init_weights(cfg, 0)
+        pair = rng.uniform(0, 1, (2, 128, 128))
+        np.save(tmp_path / "pair.npy", pair)
+        child = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import numpy as np\n"
+            "from wavefuse import network as net\n"
+            "a, b = np.load(sys.argv[2])\n"
+            "cfg = net.NetConfig()\n"
+            "np.save(sys.argv[3], net.forward(a, b, net.init_weights(cfg, 0), cfg))\n"
+        )
+        src = str(Path(net.__file__).resolve().parent.parent)
+        subprocess.run(
+            [sys.executable, "-c", child, src, tmp_path / "pair.npy", tmp_path / "one.npy"],
+            check=True,
+            timeout=120,
+        )
+        assert np.array_equal(np.load(tmp_path / "one.npy"), net.forward(*pair, w, cfg))
 
     def test_size_mismatch(self, rng):
         w = net.init_weights(SMALL, 0)

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,14 +97,55 @@ class TestSoftmax:
         shifted = m + g.standard_normal((4, 1))
         assert np.allclose(T.softmax_rows(m), T.softmax_rows(shifted), atol=1e-12)
 
-    def test_input_unchanged_and_formula_bit_exact(self, rng):
+    @staticmethod
+    def formula(m):
+        z = m - m.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=-1, keepdims=True)
+
+    def test_in_place_and_formula_bit_exact(self, rng):
+        # softmax_rows normalises a contiguous float64 argument in place.
         m = rng.standard_normal((2, 3, 5, 7)) * 10
         before = m.copy()
         out = T.softmax_rows(m)
+        assert out is m
+        assert np.array_equal(out, self.formula(before))
+
+    def test_copied_inputs_give_formula_values(self, rng):
+        m = rng.standard_normal((7, 5)) * 10
+        before = m.copy()
+        out = T.softmax_rows(m.T)
         assert np.array_equal(m, before)
-        z = m - m.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        assert np.array_equal(out, e / e.sum(axis=-1, keepdims=True))
+        assert np.array_equal(out, self.formula(before.T))
+        ints = np.arange(-6, 6).reshape(3, 4)
+        assert np.array_equal(T.softmax_rows(ints), self.formula(ints.astype(np.float64)))
+
+    def test_split_rows_bit_exact(self, rng, monkeypatch):
+        # With one element per part, every row block may go to its own core;
+        # on a one-CPU host this runs the single-part path.
+        monkeypatch.setattr(T, "_MIN_PART", 1)
+        m = rng.standard_normal((3, 5, 7, 9)) * 10
+        before = m.copy()
+        assert np.array_equal(T.softmax_rows(m), self.formula(before))
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_forked_child_after_split_call(self, rng, monkeypatch):
+        # A pool kept across calls would leave dead threads in a forked child
+        # and hang its next split call.
+        monkeypatch.setattr(T, "_MIN_PART", 1)
+        T.softmax_rows(rng.standard_normal((64, 9)))
+        child = multiprocessing.get_context("fork").Process(
+            target=T.softmax_rows, args=(rng.standard_normal((64, 9)),)
+        )
+        child.start()
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("forked child hung in softmax_rows")
+        assert child.exitcode == 0
 
 
 class TestLayerNorm:
