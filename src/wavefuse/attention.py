@@ -3,6 +3,9 @@ channel/spatial gating used to recombine frequency bands.
 
 Shifted windows use a cyclic roll with full attention inside each window;
 there is no masking and no positional bias.
+
+network.forward checks the images, NetConfig and weights once; the layers
+below it trust their arguments and do not check shapes, routes or heads again.
 """
 
 from dataclasses import dataclass, replace
@@ -91,30 +94,14 @@ def window_merge(tok):
     return np.ascontiguousarray(x)
 
 
-def _same_windowing(*toks):
-    ref = toks[0]
-    for t in toks[1:]:
-        if t.tokens.shape != ref.tokens.shape or (t.window, t.shift) != (
-            ref.window,
-            ref.shift,
-        ):
-            raise ShapeError(
-                f"window token mismatch: {t.tokens.shape} (w={t.window}, "
-                f"s={t.shift}) vs {ref.tokens.shape} (w={ref.window}, s={ref.shift})"
-            )
-
-
 def mhsa(q_src, k_src, v_src, p):
     """Multi-head attention over window token stacks.
 
     p.wq/p.wk/p.wv project the respective source stacks; heads are
     concatenated and mapped through p.wo.
     """
-    _same_windowing(q_src, k_src, v_src)
     nwin, t, c = q_src.tokens.shape
     h = p.heads
-    if c % h:
-        raise ShapeError(f"heads {h} must divide channels {c}")
     d = c // h
     # The 1/sqrt(d) logit scale rides on wq, and K is laid out (nwin, h, d, t),
     # so q @ k is the scaled logits with no transpose or division over them.
@@ -132,12 +119,8 @@ def cross_modal_attention(f1, f2, p1, p2, w, shift, route="qv"):
     route="qv" (default): each output stream takes queries and values from the
     opposite modality and keys from its own; route="k" sends only the keys
     across. Both use the output projection of the modality that supplied Q/V.
+    `route` is NetConfig.cross_route, which checks it.
     """
-    f1, f2 = as_tensor(f1), as_tensor(f2)
-    if f1.shape != f2.shape:
-        raise ShapeError(f"modalities differ in shape: {f1.shape} vs {f2.shape}")
-    if route not in ("qv", "k"):
-        raise ValueError(f"unknown route {route!r}")
     toks = (window_partition(f1, w, shift), window_partition(f2, w, shift))
     ps = (p1, p2)
     # outs[m]: Q, V and wo from modality m, K from the other one.
@@ -151,10 +134,6 @@ def cross_modal_attention(f1, f2, p1, p2, w, shift, route="qv"):
 
 def channel_attention(x, p):
     """Sigmoid channel gate from pooled statistics, broadcast over space."""
-    x = as_tensor(x)
-    b, c = x.shape[:2]
-    if p.ca_w1.shape[1] != c:
-        raise ShapeError(f"channel params {p.ca_w1.shape} do not match C={c}")
     avg = x.mean(axis=(2, 3))
     mx = x.max(axis=(2, 3))
 
@@ -167,7 +146,6 @@ def channel_attention(x, p):
 
 def spatial_attention(x, p):
     """Sigmoid spatial gate from channel mean/max maps, broadcast over channels."""
-    x = as_tensor(x)
     maps = np.stack([x.mean(axis=1), x.max(axis=1)], axis=1)
     gate = sigmoid(conv2d(maps, p.sa_w, p.sa_b))
     return x * gate
@@ -180,13 +158,5 @@ def frequency_interaction(low1, low2, high1, high2, p1, p2):
     (low, packed high) pair as wavelet.unpack takes it. Stream m is gated by
     its own params.
     """
-    lows = as_tensor(low1), as_tensor(low2)
-    highs = as_tensor(high1), as_tensor(high2)
-    b = lows[0].shape[0]
-    for m, high in enumerate(highs, 1):
-        if high.shape[0] != 3 * b:
-            raise ShapeError(f"high{m} batch {high.shape[0]} is not 3x the low batch {b}")
-    ps = (p1, p2)
-    return tuple(
-        (channel_attention(lows[m], ps[m]), spatial_attention(highs[1 - m], ps[m])) for m in (0, 1)
-    )
+    streams = ((low1, high2, p1), (low2, high1, p2))
+    return tuple((channel_attention(lo, p), spatial_attention(hi, p)) for lo, hi, p in streams)

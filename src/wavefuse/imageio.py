@@ -136,13 +136,15 @@ def ycbcr_to_rgb(ycbcr):
 def check_images(*images):
     """Return the images as float64 arrays.
 
-    Raises ShapeError unless all share one (H, W) shape and ValueError if any
-    holds a NaN or an Inf.
+    Raises ShapeError unless all share one non-empty (H, W) shape and
+    ValueError if any holds a NaN or an Inf.
     """
     out = [np.asarray(img, dtype=np.float64) for img in images]
     shapes = [img.shape for img in out]
     if out[0].ndim != 2 or len(set(shapes)) != 1:
         raise ShapeError(f"expected (H,W) images of one shape, got {shapes}")
+    if out[0].size == 0:
+        raise ShapeError(f"images must be non-empty, got shape {shapes[0]}")
     for img in out:
         if not np.isfinite(img).all():
             raise ValueError("image holds NaN or Inf values")
@@ -150,11 +152,8 @@ def check_images(*images):
 
 
 def to_tensor(img):
-    """Lift an (H, W) grayscale image to a (1, 1, H, W) tensor."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ShapeError(f"expected (H,W) grayscale image, got {img.shape}")
-    return img[None, None, :, :].copy()
+    """Lift an (H, W) grayscale image to a (1, 1, H, W) float64 tensor."""
+    return np.asarray(img, dtype=np.float64)[None, None].copy()
 
 
 def from_tensor(t):

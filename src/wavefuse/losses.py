@@ -52,10 +52,6 @@ class LossReport:
     grad: np.ndarray | None = field(default=None, repr=False)
 
 
-def reflect_pad(x, pad):
-    return np.pad(x, pad, mode="reflect")
-
-
 def _fold_rows(g, pad):
     """Adjoint of reflect-padding axis 0 of an array by `pad` on both sides."""
     n = len(g) - 2 * pad
@@ -119,7 +115,7 @@ def filt(x, k):
     """Correlate with the separable kernel k (taps down the rows, taps along
     the columns) under reflect padding; output size equals input size."""
     kr, kc = k
-    xp = reflect_pad(x, len(kr) // 2)
+    xp = np.pad(x, len(kr) // 2, mode="reflect")
     return _correlate(_correlate(xp, kr, 0), kc, 1)
 
 

@@ -149,9 +149,8 @@ def _from_tokens(tok, shape):
     return np.ascontiguousarray(tok.reshape(b, h, w, c).transpose(0, 3, 1, 2))
 
 
-def feature_extract(img, weights, branch):
+def feature_extract(x, weights, branch):
     """Three 3x3 convs (1 -> C -> C -> C), Leaky-ReLU after each."""
-    x = T.as_tensor(img)
     for layer in (1, 2, 3):
         x = T.conv2d(
             x, weights[f"fe{branch}.{layer}.weight"], weights[f"fe{branch}.{layer}.bias"]
@@ -201,9 +200,6 @@ def enhance_block(f1, f2, index, weights, cfg):
     detail-band swap -> IWT + residual -> LN -> token MLP + residual.
     Odd or non-window-aligned inputs are mirror-padded and cropped back.
     """
-    f1, f2 = T.as_tensor(f1), T.as_tensor(f2)
-    if f1.shape != f2.shape:
-        raise ShapeError(f"stream shapes differ: {f1.shape} vs {f2.shape}")
     h, wd = f1.shape[2:]
     prefixes = [f"block{index}.s{m}" for m in (1, 2)]
 

@@ -98,14 +98,6 @@ def softmax_rows(m):
 def layer_norm(x, gain, shift, eps=1e-5):
     """Normalize each row of a (n, C) token matrix to zero mean / unit variance,
     then apply the per-channel affine (gain, shift)."""
-    x = np.asarray(x, dtype=np.float64)
-    gain = np.asarray(gain, dtype=np.float64)
-    shift = np.asarray(shift, dtype=np.float64)
-    if x.shape[-1] != gain.shape[0] or gain.shape != shift.shape:
-        raise ShapeError(
-            f"layer_norm channel mismatch: x {x.shape}, gain {gain.shape}, "
-            f"shift {shift.shape}"
-        )
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return (x - mu) / np.sqrt(var + eps) * gain + shift

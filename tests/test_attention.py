@@ -227,14 +227,3 @@ class TestFrequencyInteraction:
             low1, low2 + g.standard_normal(low2.shape), high1 + 1.0, high2, p1, p2
         )
         assert np.array_equal(s1[0], s1_b[0]) and np.array_equal(s1[1], s1_b[1])
-
-    def test_bad_multiplicity(self, rng):
-        with pytest.raises(ShapeError):
-            att.frequency_interaction(
-                rng.standard_normal((1, 8, 4, 4)),
-                rng.standard_normal((1, 8, 4, 4)),
-                rng.standard_normal((2, 8, 4, 4)),
-                rng.standard_normal((3, 8, 4, 4)),
-                zero_cbam(),
-                zero_cbam(),
-            )

@@ -143,6 +143,13 @@ class TestCheckImages:
         with pytest.raises(ValueError, match="NaN or Inf"):
             ENTRY_POINTS[entry](a, b, f)
 
+    @pytest.mark.parametrize("shape", [(0, 24), (24, 0)], ids=["0x24", "24x0"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_entry_points_reject_empty_images(self, entry, shape):
+        a = np.zeros(shape)
+        with pytest.raises(ShapeError, match="images must be non-empty"):
+            ENTRY_POINTS[entry](a, a.copy(), a.copy())
+
     def test_returns_float64_arrays(self):
         x, y = io.check_images([[0, 1]], np.zeros((1, 2), dtype=np.float32))
         assert x.dtype == y.dtype == np.float64

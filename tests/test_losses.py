@@ -19,10 +19,6 @@ SX = [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]]
 
 
 class TestFilters:
-    def test_reflect_pad_matches_numpy(self, rng):
-        x = rng.standard_normal((5, 6))
-        assert np.array_equal(L.reflect_pad(x, 2), np.pad(x, 2, mode="reflect"))
-
     def test_filt_matches_naive(self, rng):
         x = rng.standard_normal((7, 9))
         got = L.filt(x, L.SOBEL_X)

@@ -226,17 +226,6 @@ class TestEnhanceBlock:
         o1, o2 = net.enhance_block(f, f.copy(), 0, w, SMALL)
         assert np.array_equal(o1, o2)
 
-    def test_mismatched_streams_rejected(self, rng):
-        w = net.zero_weights(SMALL)
-        with pytest.raises(ShapeError):
-            net.enhance_block(
-                rng.standard_normal((1, 8, 8, 8)),
-                rng.standard_normal((1, 8, 8, 10)),
-                0,
-                w,
-                SMALL,
-            )
-
 
 class TestForward:
     def test_output_shape_and_range(self, rng):
@@ -283,6 +272,23 @@ class TestForward:
         b = rng.uniform(0, 1, (13, 9))
         got = net.forward(a, b, w, SMALL)
         assert np.abs(got - forward_naive(a, b, w, SMALL)).max() <= 1e-12
+
+    def test_rejects_weights_that_do_not_match_cfg(self, rng):
+        # forward is the one place the weights are checked against the config;
+        # the layers it drives trust them.
+        a, b = rng.uniform(0, 1, (2, 16, 16))
+        transposed = net.init_weights(SMALL, 0)
+        transposed["block0.s1.cbam.ca_w1"] = transposed["block0.s1.cbam.ca_w1"].T
+        missing = net.init_weights(SMALL, 0)
+        del missing["block0.s2.attn.high.wq"]
+        cases = [
+            (transposed, SMALL, "block0.s1.cbam.ca_w1"),
+            (missing, SMALL, "block0.s2.attn.high.wq"),
+            (net.init_weights(SMALL, 0), net.NetConfig(), "missing"),
+        ]
+        for weights, cfg, match in cases:
+            with pytest.raises(FormatError, match=match):
+                net.forward(a, b, weights, cfg)
 
     def test_peak_memory_64(self, rng):
         cfg = net.NetConfig()
