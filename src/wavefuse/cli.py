@@ -242,7 +242,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PnmParseError, ShapeError, FileNotFoundError, ValueError) as exc:
+    except (PnmParseError, ShapeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FormatError as exc:

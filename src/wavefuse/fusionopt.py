@@ -22,8 +22,10 @@ class OptConfig:
     tolerance: float = 1e-7
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not 0 < self.step < np.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
+        if not 0 <= self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be >= 0 and finite, got {self.tolerance}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.init not in ("average", "source_a", "source_b"):

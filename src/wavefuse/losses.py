@@ -39,8 +39,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "alpha1", "alpha2", "gamma1", "gamma2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"loss weight {name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"loss weight {name} must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

@@ -139,16 +139,6 @@ def zero_weights(cfg):
     return weights
 
 
-def _to_tokens(x):
-    b, c, h, w = x.shape
-    return x.transpose(0, 2, 3, 1).reshape(b * h * w, c), (b, c, h, w)
-
-
-def _from_tokens(tok, shape):
-    b, c, h, w = shape
-    return np.ascontiguousarray(tok.reshape(b, h, w, c).transpose(0, 3, 1, 2))
-
-
 def feature_extract(x, weights, branch):
     """Three 3x3 convs (1 -> C -> C -> C), Leaky-ReLU after each."""
     for layer in (1, 2, 3):
@@ -207,9 +197,7 @@ def enhance_block(f1, f2, index, weights, cfg):
     for f, p in zip((f1, f2), prefixes):
         fp = _pad_to_multiple(f, 2 * cfg.window)
         padded.append(fp)
-        tok, shape = _to_tokens(fp)
-        tok = T.layer_norm(tok, weights[f"{p}.ln1.gain"], weights[f"{p}.ln1.shift"])
-        subs.append(dwt2(_from_tokens(tok, shape)))
+        subs.append(dwt2(T.layer_norm(fp, weights[f"{p}.ln1.gain"], weights[f"{p}.ln1.shift"])))
     lows = _band_attention(subs[0].ll, subs[1].ll, index, "low", weights, cfg)
     highs = _band_attention(pack_high(subs[0]), pack_high(subs[1]), index, "high", weights, cfg)
     fres = frequency_interaction(
@@ -219,11 +207,11 @@ def enhance_block(f1, f2, index, weights, cfg):
     outs = []
     for bands, fp, p in zip(fres, padded, prefixes):
         fprime = iwt2(unpack(*bands)) + fp
-        tok, shape = _to_tokens(fprime)
-        tok = T.layer_norm(tok, weights[f"{p}.ln2.gain"], weights[f"{p}.ln2.shift"])
-        hid = T.leaky_relu(tok @ weights[f"{p}.mlp.w1"].T + weights[f"{p}.mlp.b1"], SLOPE)
-        mlp_out = hid @ weights[f"{p}.mlp.w2"].T + weights[f"{p}.mlp.b2"]
-        outs.append((_from_tokens(mlp_out, shape) + fprime)[:, :, :h, :wd])
+        x = T.layer_norm(fprime, weights[f"{p}.ln2.gain"], weights[f"{p}.ln2.shift"])
+        x = x.reshape(*x.shape[:2], -1)  # (B, C, H*W): the MLP mixes channels only
+        hid = T.leaky_relu(weights[f"{p}.mlp.w1"] @ x + weights[f"{p}.mlp.b1"][:, None], SLOPE)
+        mlp_out = weights[f"{p}.mlp.w2"] @ hid + weights[f"{p}.mlp.b2"][:, None]
+        outs.append((mlp_out.reshape(fprime.shape) + fprime)[:, :, :h, :wd])
     return tuple(outs)
 
 

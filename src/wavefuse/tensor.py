@@ -1,4 +1,5 @@
-"""Dense (B, C, H, W) float64 kernels: convolution, softmax, layer norm.
+"""Dense (B, C, H, W) float64 kernels: convolution, softmax, layer norm over
+the channel axis, and the elementwise activations.
 
 All functions are deterministic. Every kernel but softmax_rows leaves its
 inputs unwritten; softmax_rows normalises a contiguous float64 argument in
@@ -96,20 +97,19 @@ def softmax_rows(m):
 
 
 def layer_norm(x, gain, shift, eps=1e-5):
-    """Normalize each row of a (n, C) token matrix to zero mean / unit variance,
-    then apply the per-channel affine (gain, shift)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gain + shift
+    """Normalize the channel vector (axis 1) at every pixel of a (B, C, H, W)
+    tensor to zero mean / unit variance, then apply the per-channel affine
+    (gain, shift), each of shape (C,)."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * gain[:, None, None] + shift[:, None, None]
 
 
 def leaky_relu(x, slope):
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0.0, x, slope * x)
+    return np.maximum(x, slope * x)
 
 
 def sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))

@@ -162,6 +162,16 @@ class TestFuseOpt:
         assert lines[0] == "iter,total,l_int,l_text,l_ssim"
         assert load_pnm(out).shape == (32, 32)
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--step", "inf"), ("--step", "nan"), ("--tol", "nan"), ("--alpha", "nan"),
+                        ("--beta", "inf")],
+    )
+    def test_non_finite_setting_exit_2(self, images, capsys, flag, value):
+        a, b, tmp = images
+        assert cli.main(["fuse-opt", a, b, "-o", str(tmp / "f.pgm"), flag, value]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp / "f.pgm").exists()
+
 
 class TestDecompose:
     def test_constant_image(self, tmp_path):
@@ -260,6 +270,25 @@ class TestOtherCommands:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "default 500" in out and "default 0.05" in out
+
+
+# Paths the OS refuses: {dir} is a directory, {a} an existing file.
+OS_ERROR_ARGV = [
+    ["fuse-opt", "{dir}", "{b}", "-o", "{dir}/f.pgm"],
+    ["fuse-opt", "{a}", "{b}", "-o", "{dir}", "--iters", "1"],
+    ["metrics", "{a}", "{b}", "{dir}"],
+    ["init-weights", "{dir}"],
+    ["fuse", "{a}", "{b}", "--weights", "{dir}", "-o", "{dir}/f.pgm"],
+    ["decompose", "{a}", "{a}"],
+]
+
+
+@pytest.mark.parametrize("argv", OS_ERROR_ARGV, ids=lambda argv: " ".join(argv))
+def test_unusable_path_exit_2(images, capsys, argv):
+    a, b, tmp = images
+    code = cli.main([arg.format(a=a, b=b, dir=tmp) for arg in argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

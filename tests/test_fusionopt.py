@@ -74,8 +74,12 @@ def test_trace_csv_format():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OptConfig(step=0.0)
+    for step in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="step"):
+            OptConfig(step=step)
+    for tolerance in (-1e-3, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            OptConfig(tolerance=tolerance)
     with pytest.raises(ValueError):
         OptConfig(max_iters=0)
     with pytest.raises(ValueError):

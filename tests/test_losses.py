@@ -214,8 +214,11 @@ class TestTotal:
         assert abs(r1.total - r2.total) < 1e-12
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            L.LossWeights(alpha=-1.0)
+        # and non-finite ones: a NaN or infinite weight makes every loss non-finite
+        bad = (("alpha", -1.0), ("alpha", np.nan), ("beta", np.inf), ("gamma2", -np.inf))
+        for name, value in bad:
+            with pytest.raises(ValueError, match=name):
+                L.LossWeights(**{name: value})
 
 
 class TestGradients:

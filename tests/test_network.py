@@ -173,14 +173,20 @@ class TestEnhanceBlock:
         assert o1.shape == f1.shape and o2.shape == f2.shape
 
     def test_matches_loop_oracle(self, rng):
-        # block 1 uses shifted windows; 13x9 goes through mirror-pad and crop
+        # block 1 uses shifted windows; 13x9 goes through mirror-pad and crop.
+        # Random layer-norm affines and MLP biases check their broadcasting,
+        # and batch 2 the channel matmul over a batch.
         w = net.init_weights(SMALL, 0)
-        f1 = rng.standard_normal((1, 8, 13, 9))
-        f2 = rng.standard_normal((1, 8, 13, 9))
-        got = net.enhance_block(f1, f2, 1, w, SMALL)
-        want = enhance_block_naive(f1, f2, 1, w, SMALL)
-        for g, o in zip(got, want):
-            assert np.abs(g - o).max() <= 1e-12
+        for name in w:
+            if name.endswith((".gain", ".shift", ".b1", ".b2")):
+                w[name] = rng.standard_normal(w[name].shape)
+        for batch in (1, 2):
+            f1 = rng.standard_normal((batch, 8, 13, 9))
+            f2 = rng.standard_normal((batch, 8, 13, 9))
+            got = net.enhance_block(f1, f2, 1, w, SMALL)
+            want = enhance_block_naive(f1, f2, 1, w, SMALL)
+            for g, o in zip(got, want):
+                assert np.abs(g - o).max() <= 1e-12, batch
 
     def test_mirror_pad_and_crop(self, rng):
         # an unaligned block equals the block on its mirror-padded input, cropped

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import conv2d_naive
+from oracles import conv2d_naive, layer_norm_naive
 from wavefuse import tensor as T
 from wavefuse.errors import ShapeError
 
@@ -149,23 +149,24 @@ class TestSoftmax:
 
 
 class TestLayerNorm:
+    # layer_norm normalises the channel axis (1) of a (B, C, H, W) tensor.
     def test_constant_row_zeroed(self):
-        x = np.full((2, 4), 3.7)
+        x = np.full((2, 4, 3, 2), 3.7)
         out = T.layer_norm(x, np.ones(4), np.zeros(4))
         assert np.abs(out).max() < 1e-9
 
     def test_already_normalized(self):
-        x = np.array([[-1.0, 1.0]])
+        x = np.array([-1.0, 1.0]).reshape(1, 2, 1, 1)
         out = T.layer_norm(x, np.ones(2), np.zeros(2), eps=1e-300)
-        assert np.allclose(out, [[-1.0, 1.0]], atol=1e-9)
+        assert np.allclose(out, x, atol=1e-9)
 
     def test_degenerate_affine(self, rng):
-        x = rng.standard_normal((3, 5))
+        x = rng.standard_normal((3, 5, 2, 4))
         out = T.layer_norm(x, np.zeros(5), np.full(5, 1.25))
-        assert np.array_equal(out, np.full((3, 5), 1.25))
+        assert np.array_equal(out, np.full((3, 5, 2, 4), 1.25))
 
     def test_mean_zero_var_one(self, rng):
-        x = rng.standard_normal((10, 16)) * 5 + 2
+        x = rng.standard_normal((2, 16, 5, 3)) * 5 + 2
         out = T.layer_norm(x, np.ones(16), np.zeros(16), eps=1e-12)
         assert np.abs(out.mean(axis=1)).max() < 1e-9
         assert np.abs(out.var(axis=1) - 1.0).max() < 1e-9
@@ -174,16 +175,29 @@ class TestLayerNorm:
     @settings(max_examples=25, deadline=None)
     def test_shift_and_scale_invariance(self, seed):
         g = np.random.default_rng(seed)
-        x = g.standard_normal((4, 8))
+        x = g.standard_normal((2, 8, 3, 2))
         base = T.layer_norm(x, np.ones(8), np.zeros(8), eps=1e-12)
         moved = T.layer_norm(3.0 * x + 7.0, np.ones(8), np.zeros(8), eps=1e-12)
         assert np.abs(base - moved).max() < 1e-6
+
+    def test_matches_loop_oracle(self, rng):
+        x = rng.standard_normal((2, 6, 5, 3)) * 3 + 1
+        gain, shift = rng.standard_normal((2, 6))
+        want = layer_norm_naive(x, gain, shift)
+        assert np.abs(T.layer_norm(x, gain, shift) - want).max() <= 1e-12
 
 
 class TestPoolAndElementwise:
     def test_leaky_relu(self):
         assert T.leaky_relu(np.array(-1.0), 0.1) == -0.1
         assert T.leaky_relu(np.array(2.0), 0.1) == 2.0
+        # the same bits as the two-branch definition, on every special value
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, np.inf, -np.inf, np.nan, -3.5, 3.5])
+        got = T.leaky_relu(x, 0.1)
+        want = np.where(x >= 0.0, x, 0.1 * x)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_sigmoid(self):
         assert T.sigmoid(np.array(0.0)) == 0.5
