@@ -10,7 +10,7 @@ from .fusionopt import OptConfig, OptTrace, optimize
 from .losses import LossReport, LossWeights, gradcheck, loss_total, ssim
 from .metrics import MetricReport, band_correlation_study, fmi, q_abf, q_w, score
 from .network import NetConfig, forward, init_weights, load_weights, save_weights
-from .wavelet import SubbandSet, dwt2, iwt2
+from .wavelet import dwt2, iwt2
 
 __all__ = [
     "FormatError",
@@ -36,7 +36,6 @@ __all__ = [
     "init_weights",
     "load_weights",
     "save_weights",
-    "SubbandSet",
     "dwt2",
     "iwt2",
 ]

@@ -155,8 +155,8 @@ def frequency_interaction(low1, low2, high1, high2, p1, p2):
     """Recombine attended bands with a cross-modal swap of the detail bands.
 
     Stream 1 = (CA(low1), SA(high2)), stream 2 = (CA(low2), SA(high1)), each a
-    (low, packed high) pair as wavelet.unpack takes it. Stream m is gated by
-    its own params.
+    (low, high) pair whose high holds the LH, HL, HH bands stacked along batch.
+    Stream m is gated by its own params.
     """
     streams = ((low1, high2, p1), (low2, high1, p2))
     return tuple((channel_attention(lo, p), spatial_attention(hi, p)) for lo, hi, p in streams)

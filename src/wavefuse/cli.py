@@ -143,16 +143,16 @@ def cmd_fuse_opt(args):
 
 def cmd_decompose(args):
     y, _ = _load_luma(args.input)
-    subs = dwt2(to_tensor(y))
+    bands = dwt2(to_tensor(y))
     os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.input))[0]
     # LL spans [0, 2]: halve for display. Detail bands are signed: offset to
     # mid-gray. The .bands file alongside keeps the exact values.
-    save_pnm(subs.ll[0, 0] / 2.0, os.path.join(args.out_dir, f"{stem}_ll.pgm"))
-    for name in ("lh", "hl", "hh"):
-        plane = getattr(subs, name)[0, 0]
+    ll, *details = bands[:, 0, 0]
+    save_pnm(ll / 2.0, os.path.join(args.out_dir, f"{stem}_ll.pgm"))
+    for name, plane in zip(("lh", "hl", "hh"), details):
         save_pnm(plane / 2.0 + 0.5, os.path.join(args.out_dir, f"{stem}_{name}.pgm"))
-    save_bands(subs, os.path.join(args.out_dir, f"{stem}.bands"))
+    save_bands(bands, os.path.join(args.out_dir, f"{stem}.bands"))
     return EXIT_OK
 
 

@@ -197,27 +197,16 @@ def band_correlation_study(a, b, f):
     a, b, f = check_images(a, b, f)
     if min(a.shape) < 22 or a.shape[0] % 2 or a.shape[1] % 2:
         raise ShapeError(f"band study needs even dims >= 22x22, got {a.shape}")
-    subs = {
-        "a": dwt2(to_tensor(a)),
-        "b": dwt2(to_tensor(b)),
-        "f": dwt2(to_tensor(f)),
-    }
-
-    def plane(s, band):
-        return getattr(subs[s], band)[0, 0]
-
+    fb = dwt2(to_tensor(f))[:, 0, 0]
     rows = []
-    for src in ("a", "b"):
-        for band in _BANDS:
-            sb = plane(src, band)
-            low = ssim(sb, plane("f", "ll"))
-            if band == "ll":
-                high = float(
-                    np.mean([ssim(sb, plane("f", hb)) for hb in ("lh", "hl", "hh")])
-                )
+    for src, img in (("a", a), ("b", b)):
+        for k, sb in enumerate(dwt2(to_tensor(img))[:, 0, 0]):
+            low = ssim(sb, fb[0])
+            if k == 0:
+                high = float(np.mean([ssim(sb, fh) for fh in fb[1:]]))
             else:
-                high = ssim(sb, plane("f", band))
-            rows.append((band, src, low, high))
+                high = ssim(sb, fb[k])
+            rows.append((_BANDS[k], src, low, high))
     return rows
 
 

@@ -23,7 +23,7 @@ from .attention import (
 )
 from .errors import FormatError, ShapeError
 from .imageio import check_images, from_tensor, to_tensor
-from .wavelet import dwt2, iwt2, pack_high, unpack
+from .wavelet import dwt2, iwt2
 
 MAGIC = b"WFW1"
 VERSION = 2
@@ -91,7 +91,7 @@ def weight_schema(cfg):
 
 
 def validate_weights(weights, cfg):
-    """Reject unknown, missing, or mis-shaped entries."""
+    """Reject unknown, missing, mis-shaped or non-finite entries."""
     schema = weight_schema(cfg)
     unknown = sorted(set(weights) - set(schema))
     if unknown:
@@ -104,6 +104,8 @@ def validate_weights(weights, cfg):
             raise FormatError(
                 f"weight {name} has shape {weights[name].shape}, expected {shape}"
             )
+        if not np.isfinite(weights[name]).all():
+            raise FormatError(f"weight {name} has non-finite values")
 
 
 def init_weights(cfg, seed):
@@ -198,15 +200,18 @@ def enhance_block(f1, f2, index, weights, cfg):
         fp = _pad_to_multiple(f, 2 * cfg.window)
         padded.append(fp)
         subs.append(dwt2(T.layer_norm(fp, weights[f"{p}.ln1.gain"], weights[f"{p}.ln1.shift"])))
-    lows = _band_attention(subs[0].ll, subs[1].ll, index, "low", weights, cfg)
-    highs = _band_attention(pack_high(subs[0]), pack_high(subs[1]), index, "high", weights, cfg)
+    lows = _band_attention(subs[0][0], subs[1][0], index, "low", weights, cfg)
+    # The detail bands as one (3B, C, h, w) batch [LH; HL; HH]: a view, no copy.
+    highs = _band_attention(
+        *(s[1:].reshape(-1, *s.shape[2:]) for s in subs), index, "high", weights, cfg
+    )
     fres = frequency_interaction(
         *lows, *highs, *(_cbam_params(weights, f"{p}.cbam") for p in prefixes)
     )
 
     outs = []
-    for bands, fp, p in zip(fres, padded, prefixes):
-        fprime = iwt2(unpack(*bands)) + fp
+    for (low, high), fp, p in zip(fres, padded, prefixes):
+        fprime = iwt2((low, *high.reshape(3, *low.shape))) + fp
         x = T.layer_norm(fprime, weights[f"{p}.ln2.gain"], weights[f"{p}.ln2.shift"])
         x = x.reshape(*x.shape[:2], -1)  # (B, C, H*W): the MLP mixes channels only
         hid = T.leaky_relu(weights[f"{p}.mlp.w1"] @ x + weights[f"{p}.mlp.b1"][:, None], SLOPE)

@@ -42,7 +42,7 @@ def test_criterion_01_wavelet_reconstruction():
         s = dwt2(x)
         ok &= bool(np.abs(iwt2(s) - x).max() < 1e-12)
         e_in = (x**2).sum()
-        e_out = sum((p**2).sum() for p in (s.ll, s.lh, s.hl, s.hh))
+        e_out = sum((p**2).sum() for p in s)  # LL, LH, HL, HH
         ok &= bool(abs(e_out - e_in) <= 1e-9 * e_in)
     report(1, "wavelet perfect reconstruction and energy", 1.0, started, ok)
 
@@ -209,12 +209,12 @@ def test_criterion_10_serialization(tmp_path):
     back, _ = network.load_weights(wpath)
     ok = all(np.array_equal(back[k], w[k]) for k in w) and set(back) == set(w)
 
-    subs = dwt2(np.random.default_rng(6).uniform(0, 1, (1, 1, 16, 18)))
+    bands = dwt2(np.random.default_rng(6).uniform(0, 1, (1, 1, 16, 18)))
     bpath = tmp_path / "x.bands"
-    wavelet.save_bands(subs, bpath)
+    wavelet.save_bands(bands, bpath)
     loaded = wavelet.load_bands(bpath)
-    for band in ("ll", "lh", "hl", "hh"):
-        ok &= bool(np.array_equal(getattr(loaded, band), getattr(subs, band)))
+    for k in range(4):  # LL, LH, HL, HH
+        ok &= bool(np.array_equal(loaded[k], bands[k]))
 
     # corrupted magic -> format error (CLI exit code 3)
     data = bytearray(wpath.read_bytes())

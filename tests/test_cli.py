@@ -123,6 +123,18 @@ class TestFuse:
         code = cli.main(["fuse", a, b, "--weights", bad, "-o", str(tmp / "x.pgm")])
         assert code == 3
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weights_exit_3(self, images, weights_path, value, capsys):
+        a, b, tmp = images
+        w, cfg = network.load_weights(weights_path)
+        w["fuse.3.bias"] = np.full(1, value)
+        bad = str(tmp / "bad.wfw")
+        network.save_weights(w, cfg, bad)
+        out = tmp / "x.pgm"
+        assert cli.main(["fuse", a, b, "--weights", bad, "-o", str(out)]) == 3
+        assert "fuse.3.bias" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ["--window", "4", "--heads", "3"],
         ["--window", "0", "--heads", "2"],
@@ -190,10 +202,10 @@ class TestDecompose:
         src = write_image(tmp_path / "r.pgm", np.round(img * 255) / 255)
         out_dir = tmp_path / "bands"
         assert cli.main(["decompose", src, str(out_dir)]) == 0
-        subs = wavelet.load_bands(out_dir / "r.bands")
+        bands = wavelet.load_bands(out_dir / "r.bands")
         want = dwt2(to_tensor(load_pnm(src)))
-        for band in ("ll", "lh", "hl", "hh"):
-            assert np.array_equal(getattr(subs, band), getattr(want, band))
+        for k in range(4):  # LL, LH, HL, HH
+            assert np.array_equal(bands[k], want[k])
 
     def test_odd_dims_exit_2(self, tmp_path):
         src = write_image(tmp_path / "odd.pgm", np.zeros((7, 8)))
@@ -202,12 +214,19 @@ class TestDecompose:
 
 class TestBandsContainer:
     def test_roundtrip(self, tmp_path, rng):
-        subs = dwt2(rng.uniform(0, 1, (1, 1, 10, 12)))
+        bands = dwt2(rng.uniform(0, 1, (1, 1, 10, 12)))
         path = tmp_path / "x.bands"
-        wavelet.save_bands(subs, path)
+        wavelet.save_bands(bands, path)
         back = wavelet.load_bands(path)
-        for band in ("ll", "lh", "hl", "hh"):
-            assert np.array_equal(getattr(back, band), getattr(subs, band))
+        for k in range(4):  # LL, LH, HL, HH
+            assert np.array_equal(back[k], bands[k])
+
+    def test_file_bytes(self, tmp_path, rng):
+        bands = dwt2(rng.uniform(0, 1, (1, 1, 10, 12)))
+        path = tmp_path / "x.bands"
+        wavelet.save_bands(bands, path)
+        want = b"WBN1" + struct.pack("<II", 5, 6) + bands[:, 0, 0].astype("<f8").tobytes()
+        assert path.read_bytes() == want
 
     def test_bad_magic(self, tmp_path, rng):
         subs = dwt2(rng.uniform(0, 1, (1, 1, 4, 4)))

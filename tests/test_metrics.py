@@ -198,18 +198,17 @@ class TestBandStudy:
         f = (a + b) / 2.0
         rows = M.band_correlation_study(a, b, f)
         subs = {s: dwt2(to_tensor(x)) for s, x in (("a", a), ("b", b), ("f", f))}
+
+        def plane(src, band):
+            return subs[src][("ll", "lh", "hl", "hh").index(band), 0, 0]
+
         for band, src, low, high in rows:
-            sb = getattr(subs[src], band)[0, 0]
-            assert low == pytest.approx(ssim(sb, subs["f"].ll[0, 0]), abs=1e-9)
+            sb = plane(src, band)
+            assert low == pytest.approx(ssim(sb, plane("f", "ll")), abs=1e-9)
             if band == "ll":
-                want = np.mean(
-                    [
-                        ssim(sb, getattr(subs["f"], hb)[0, 0])
-                        for hb in ("lh", "hl", "hh")
-                    ]
-                )
+                want = np.mean([ssim(sb, plane("f", hb)) for hb in ("lh", "hl", "hh")])
             else:
-                want = ssim(sb, getattr(subs["f"], band)[0, 0])
+                want = ssim(sb, plane("f", band))
             assert high == pytest.approx(want, abs=1e-9)
 
     def test_csv_byte_stable(self):

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -296,6 +297,15 @@ class TestForward:
             with pytest.raises(FormatError, match=match):
                 net.forward(a, b, weights, cfg)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["fuse.3.bias", "block1.s2.attn.low.wk"])
+    def test_rejects_non_finite_weights(self, rng, name, value):
+        a, b = rng.uniform(0, 1, (2, 16, 16))
+        w = net.init_weights(SMALL, 0)
+        w[name].flat[-1] = value
+        with pytest.raises(FormatError, match=rf"{re.escape(name)} has non-finite"):
+            net.forward(a, b, w, SMALL)
+
     def test_peak_memory_64(self, rng):
         cfg = net.NetConfig()
         w = net.init_weights(cfg, 0)
@@ -396,6 +406,16 @@ class TestSerialization:
         net.save_weights(w, SMALL, path)
         got = net.forward(a, b, *net.load_weights(path))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, value):
+        # The CRC is valid: the file holds exactly what was saved.
+        w = net.init_weights(SMALL, 0)
+        w["fuse.3.bias"] = np.full(1, value)
+        path = tmp_path / "w.wfw"
+        net.save_weights(w, SMALL, path)
+        with pytest.raises(FormatError, match=r"fuse\.3\.bias has non-finite"):
+            net.load_weights(path)
 
     def test_name_that_is_no_utf8(self, tmp_path):
         path = tmp_path / "w.wfw"
