@@ -30,28 +30,6 @@ class WindowTokens:
     width: int
 
 
-@dataclass(frozen=True)
-class AttentionParams:
-    """Per-band projection weights; each is (C, C), heads must divide C."""
-
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    heads: int
-
-
-@dataclass(frozen=True)
-class CbamParams:
-    """Channel-attention MLP (C -> C/r -> C, biasless, shared across the avg
-    and max branches) and the 7x7 spatial-attention conv (2 -> 1 channels)."""
-
-    ca_w1: np.ndarray
-    ca_w2: np.ndarray
-    sa_w: np.ndarray
-    sa_b: np.ndarray
-
-
 def window_partition(x, w, shift):
     """Tile a (B, C, H, W) tensor into non-overlapping w x w windows.
 
@@ -94,69 +72,77 @@ def window_merge(tok):
     return np.ascontiguousarray(x)
 
 
-def mhsa(q_src, k_src, v_src, p):
+def mhsa(q_src, k_src, v_src, w, heads):
     """Multi-head attention over window token stacks.
 
-    p.wq/p.wk/p.wv project the respective source stacks; heads are
-    concatenated and mapped through p.wo.
+    w = (wq, wk, wv, wo), each (C, C): wq/wk/wv project the respective source
+    stacks; the heads (which must divide C) are concatenated and mapped
+    through wo.
     """
+    wq, wk, wv, wo = w
     nwin, t, c = q_src.tokens.shape
-    h = p.heads
-    d = c // h
+    h, d = heads, c // heads
     # The 1/sqrt(d) logit scale rides on wq, and K is laid out (nwin, h, d, t),
     # so q @ k is the scaled logits with no transpose or division over them.
-    q = (q_src.tokens @ (p.wq / np.sqrt(d))).reshape(nwin, t, h, d).transpose(0, 2, 1, 3)
-    k = (k_src.tokens @ p.wk).reshape(nwin, t, h, d).transpose(0, 2, 3, 1)
-    v = (v_src.tokens @ p.wv).reshape(nwin, t, h, d).transpose(0, 2, 1, 3)
+    q = (q_src.tokens @ (wq / np.sqrt(d))).reshape(nwin, t, h, d).transpose(0, 2, 1, 3)
+    k = (k_src.tokens @ wk).reshape(nwin, t, h, d).transpose(0, 2, 3, 1)
+    v = (v_src.tokens @ wv).reshape(nwin, t, h, d).transpose(0, 2, 1, 3)
     attn = softmax_rows(q @ k)
-    out = (attn @ v).transpose(0, 2, 1, 3).reshape(nwin, t, c) @ p.wo
+    out = (attn @ v).transpose(0, 2, 1, 3).reshape(nwin, t, c) @ wo
     return replace(q_src, tokens=out)
 
 
-def cross_modal_attention(f1, f2, p1, p2, w, shift, route="qv"):
+def cross_modal_attention(f1, f2, w1, w2, heads, window, shift, route):
     """Windowed attention wired across the two modalities of one band.
 
-    route="qv" (default): each output stream takes queries and values from the
-    opposite modality and keys from its own; route="k" sends only the keys
-    across. Both use the output projection of the modality that supplied Q/V.
-    `route` is NetConfig.cross_route, which checks it.
+    w1 and w2 are the (wq, wk, wv, wo) projections of each modality.
+    route="qv": each output stream takes queries and values from the opposite
+    modality and keys from its own; route="k" sends only the keys across. Both
+    use the output projection of the modality that supplied Q/V. `route` is
+    NetConfig.cross_route, which checks it.
     """
-    toks = (window_partition(f1, w, shift), window_partition(f2, w, shift))
-    ps = (p1, p2)
+    toks = (window_partition(f1, window, shift), window_partition(f2, window, shift))
+    ws = (w1, w2)
     # outs[m]: Q, V and wo from modality m, K from the other one.
     outs = [
-        mhsa(toks[m], toks[1 - m], toks[m], replace(ps[m], wk=ps[1 - m].wk)) for m in (0, 1)
+        mhsa(toks[m], toks[1 - m], toks[m], (ws[m][0], ws[1 - m][1], *ws[m][2:]), heads)
+        for m in (0, 1)
     ]
     if route == "qv":
         outs.reverse()
     return tuple(window_merge(o) for o in outs)
 
 
-def channel_attention(x, p):
-    """Sigmoid channel gate from pooled statistics, broadcast over space."""
+def channel_attention(x, w1, w2):
+    """Sigmoid channel gate from pooled statistics, broadcast over space: a
+    biasless MLP (w1 is (C/r, C), w2 is (C, C/r)) shared by the avg and max
+    branches."""
     avg = x.mean(axis=(2, 3))
     mx = x.max(axis=(2, 3))
 
     def mlp(v):
-        return np.maximum(v @ p.ca_w1.T, 0.0) @ p.ca_w2.T
+        return np.maximum(v @ w1.T, 0.0) @ w2.T
 
     gate = sigmoid(mlp(avg) + mlp(mx))
     return x * gate[:, :, None, None]
 
 
-def spatial_attention(x, p):
-    """Sigmoid spatial gate from channel mean/max maps, broadcast over channels."""
+def spatial_attention(x, w, b):
+    """Sigmoid spatial gate from channel mean/max maps, broadcast over
+    channels; w (1, 2, 7, 7) and b (1,) are the 7x7 conv."""
     maps = np.stack([x.mean(axis=1), x.max(axis=1)], axis=1)
-    gate = sigmoid(conv2d(maps, p.sa_w, p.sa_b))
+    gate = sigmoid(conv2d(maps, w, b))
     return x * gate
 
 
-def frequency_interaction(low1, low2, high1, high2, p1, p2):
+def frequency_interaction(low1, low2, high1, high2, g1, g2):
     """Recombine attended bands with a cross-modal swap of the detail bands.
 
     Stream 1 = (CA(low1), SA(high2)), stream 2 = (CA(low2), SA(high1)), each a
     (low, high) pair whose high holds the LH, HL, HH bands stacked along batch.
-    Stream m is gated by its own params.
+    Stream m is gated by its own g = (ca_w1, ca_w2, sa_w, sa_b).
     """
-    streams = ((low1, high2, p1), (low2, high1, p2))
-    return tuple((channel_attention(lo, p), spatial_attention(hi, p)) for lo, hi, p in streams)
+    streams = ((low1, high2, g1), (low2, high1, g2))
+    return tuple(
+        (channel_attention(lo, *g[:2]), spatial_attention(hi, *g[2:])) for lo, hi, g in streams
+    )

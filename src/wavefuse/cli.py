@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fusionopt, losses, metrics, network
 from .errors import FormatError, PnmParseError, ShapeError, WavefuseError
-from .imageio import load_pnm, rgb_to_ycbcr, save_pnm, to_tensor, YCbCrImage, ycbcr_to_rgb
+from .imageio import load_pnm, rgb_to_ycbcr, save_pnm, ycbcr_to_rgb
 from .wavelet import dwt2, save_bands
 
 EXIT_OK = 0
@@ -24,11 +24,11 @@ EXIT_INTERNAL = 4
 
 
 def _load_luma(path):
-    """Load an image and return (luma plane, YCbCrImage or None)."""
+    """Load an image and return (luma plane, (H, W, 3) YCbCr array or None)."""
     img = load_pnm(path)
     if img.ndim == 3:
         ycc = rgb_to_ycbcr(img)
-        return ycc.y, ycc
+        return ycc[..., 0], ycc
     return img, None
 
 
@@ -112,11 +112,9 @@ def _add_pair_args(p):
 
 
 def _emit_color(fused_y, chroma, out_path):
-    if chroma is None:
-        save_pnm(fused_y, out_path)
-    else:
-        rgb = ycbcr_to_rgb(YCbCrImage(y=fused_y, cb=chroma.cb, cr=chroma.cr))
-        save_pnm(rgb, out_path)
+    if chroma is not None:
+        fused_y = ycbcr_to_rgb(np.dstack([fused_y, chroma[..., 1:]]))
+    save_pnm(fused_y, out_path)
 
 
 def cmd_fuse(args):
@@ -143,7 +141,7 @@ def cmd_fuse_opt(args):
 
 def cmd_decompose(args):
     y, _ = _load_luma(args.input)
-    bands = dwt2(to_tensor(y))
+    bands = dwt2(y[None, None])
     os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.input))[0]
     # LL spans [0, 2]: halve for display. Detail bands are signed: offset to

@@ -6,30 +6,12 @@ RGB images are (H, W, 3). PNM is the only supported container: it is
 bit-exact and dependency free.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import PnmParseError, ShapeError
 
 _KB = 0.114
 _KR = 0.299
-
-
-@dataclass(frozen=True)
-class YCbCrImage:
-    """Full-range BT.601 planes: y in [0,1], cb/cr in [-0.5, 0.5]."""
-
-    y: np.ndarray
-    cb: np.ndarray
-    cr: np.ndarray
-
-    def __post_init__(self):
-        if not (self.y.shape == self.cb.shape == self.cr.shape):
-            raise ShapeError(
-                f"YCbCr plane shapes differ: {self.y.shape}, {self.cb.shape}, "
-                f"{self.cr.shape}"
-            )
 
 
 def _read_token(buf, pos):
@@ -113,7 +95,9 @@ def save_pnm(image, path):
 
 
 def rgb_to_ycbcr(rgb):
-    """Full-range BT.601 forward transform; input channels in [0, 1]."""
+    """Full-range BT.601 forward transform of an (H, W, 3) image with channels
+    in [0, 1] to one (H, W, 3) array of the planes Y in [0, 1] and Cb, Cr in
+    [-0.5, 0.5]."""
     rgb = np.asarray(rgb, dtype=np.float64)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ShapeError(f"expected (H,W,3) RGB image, got {rgb.shape}")
@@ -121,12 +105,13 @@ def rgb_to_ycbcr(rgb):
     y = _KR * r + (1.0 - _KR - _KB) * g + _KB * b
     cb = 0.5 * (b - y) / (1.0 - _KB)
     cr = 0.5 * (r - y) / (1.0 - _KR)
-    return YCbCrImage(y=y, cb=cb, cr=cr)
+    return np.stack([y, cb, cr], axis=-1)
 
 
 def ycbcr_to_rgb(ycbcr):
-    """Algebraic inverse of rgb_to_ycbcr; the result is clamped to [0, 1]."""
-    y, cb, cr = ycbcr.y, ycbcr.cb, ycbcr.cr
+    """Algebraic inverse of rgb_to_ycbcr on an (H, W, 3) array of Y, Cb, Cr;
+    the result is clamped to [0, 1]."""
+    y, cb, cr = np.moveaxis(ycbcr, -1, 0)
     r = y + 2.0 * (1.0 - _KR) * cr
     b = y + 2.0 * (1.0 - _KB) * cb
     g = (y - _KR * r - _KB * b) / (1.0 - _KR - _KB)
@@ -149,16 +134,3 @@ def check_images(*images):
         if not np.isfinite(img).all():
             raise ValueError("image holds NaN or Inf values")
     return out
-
-
-def to_tensor(img):
-    """Lift an (H, W) grayscale image to a (1, 1, H, W) float64 tensor."""
-    return np.asarray(img, dtype=np.float64)[None, None].copy()
-
-
-def from_tensor(t):
-    """Drop a (1, 1, H, W) tensor back to an image, clamping to [0, 1]."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 4 or t.shape[0] != 1 or t.shape[1] != 1:
-        raise ShapeError(f"expected (1,1,H,W) tensor, got {t.shape}")
-    return np.clip(t[0, 0], 0.0, 1.0)

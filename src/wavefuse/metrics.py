@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .imageio import check_images, to_tensor
+from .imageio import check_images
 from .losses import SOBEL_X, SOBEL_Y, _sliding, filt, ssim
 from .wavelet import dwt2
 
@@ -197,10 +197,10 @@ def band_correlation_study(a, b, f):
     a, b, f = check_images(a, b, f)
     if min(a.shape) < 22 or a.shape[0] % 2 or a.shape[1] % 2:
         raise ShapeError(f"band study needs even dims >= 22x22, got {a.shape}")
-    fb = dwt2(to_tensor(f))[:, 0, 0]
+    fb = dwt2(f[None, None])[:, 0, 0]
     rows = []
     for src, img in (("a", a), ("b", b)):
-        for k, sb in enumerate(dwt2(to_tensor(img))[:, 0, 0]):
+        for k, sb in enumerate(dwt2(img[None, None])[:, 0, 0]):
             low = ssim(sb, fb[0])
             if k == 0:
                 high = float(np.mean([ssim(sb, fh) for fh in fb[1:]]))

@@ -15,14 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import (
-    AttentionParams,
-    CbamParams,
-    cross_modal_attention,
-    frequency_interaction,
-)
+from .attention import cross_modal_attention, frequency_interaction
 from .errors import FormatError, ShapeError
-from .imageio import check_images, from_tensor, to_tensor
+from .imageio import check_images
 from .wavelet import dwt2, iwt2
 
 MAGIC = b"WFW1"
@@ -155,24 +150,12 @@ def _band_attention(x1, x2, index, band, weights, cfg):
     """Cross-modal attention over one band of block `index`; stream m uses the
     block{index}.s{m}.attn.{band} projections. Odd blocks shift the windows by
     half a window."""
-    p1, p2 = (
-        AttentionParams(
-            *(weights[f"block{index}.s{m}.attn.{band}.{w}"] for w in ("wq", "wk", "wv", "wo")),
-            heads=cfg.heads,
-        )
+    w1, w2 = (
+        [weights[f"block{index}.s{m}.attn.{band}.{w}"] for w in ("wq", "wk", "wv", "wo")]
         for m in (1, 2)
     )
     shift = (index % 2) * (cfg.window // 2)
-    return cross_modal_attention(x1, x2, p1, p2, cfg.window, shift, cfg.cross_route)
-
-
-def _cbam_params(weights, prefix):
-    return CbamParams(
-        ca_w1=weights[f"{prefix}.ca_w1"],
-        ca_w2=weights[f"{prefix}.ca_w2"],
-        sa_w=weights[f"{prefix}.sa_w"],
-        sa_b=weights[f"{prefix}.sa_b"],
-    )
+    return cross_modal_attention(x1, x2, w1, w2, cfg.heads, cfg.window, shift, cfg.cross_route)
 
 
 def _pad_to_multiple(x, mult):
@@ -205,9 +188,10 @@ def enhance_block(f1, f2, index, weights, cfg):
     highs = _band_attention(
         *(s[1:].reshape(-1, *s.shape[2:]) for s in subs), index, "high", weights, cfg
     )
-    fres = frequency_interaction(
-        *lows, *highs, *(_cbam_params(weights, f"{p}.cbam") for p in prefixes)
+    gates = (
+        [weights[f"{p}.cbam.{g}"] for g in ("ca_w1", "ca_w2", "sa_w", "sa_b")] for p in prefixes
     )
+    fres = frequency_interaction(*lows, *highs, *gates)
 
     outs = []
     for (low, high), fp, p in zip(fres, padded, prefixes):
@@ -224,7 +208,7 @@ def forward(i1, i2, weights, cfg):
     """Fuse two grayscale images into one; deterministic for fixed weights."""
     i1, i2 = check_images(i1, i2)
     validate_weights(weights, cfg)
-    f1, f2 = (feature_extract(to_tensor(img), weights, m) for m, img in ((1, i1), (2, i2)))
+    f1, f2 = (feature_extract(img[None, None], weights, m) for m, img in ((1, i1), (2, i2)))
     for i in range(cfg.blocks):
         f1, f2 = enhance_block(f1, f2, i, weights, cfg)
     x = np.concatenate([f1, f2], axis=1)
@@ -232,7 +216,7 @@ def forward(i1, i2, weights, cfg):
         x = T.conv2d(x, weights[f"fuse.{layer}.weight"], weights[f"fuse.{layer}.bias"])
         if layer < 3:
             x = T.leaky_relu(x, SLOPE)
-    return from_tensor(x)
+    return np.clip(x[0, 0], 0.0, 1.0)
 
 
 def save_weights(weights, cfg, path):

@@ -12,8 +12,8 @@ from conftest import smooth_image
 from oracles import fmi_naive, forward_naive, qabf_naive, qw_naive
 from wavefuse import cli, network, wavelet
 from wavefuse.attention import (
-    AttentionParams,
     cross_modal_attention,
+    frequency_interaction,
     mhsa,
     window_merge,
     window_partition,
@@ -57,28 +57,20 @@ def test_criterion_02_attention_invariants():
 
     c = 8
     x = g.standard_normal((1, c, 16, 16))
-    p = AttentionParams(
-        wq=g.standard_normal((c, c)),
-        wk=g.standard_normal((c, c)),
-        wv=g.standard_normal((c, c)),
-        wo=g.standard_normal((c, c)),
-        heads=2,
-    )
-    o1, o2 = cross_modal_attention(x, x.copy(), p, p, 8, 0)
+    p = tuple(g.standard_normal((c, c)) for _ in range(4))  # wq, wk, wv, wo
+    o1, o2 = cross_modal_attention(x, x.copy(), p, p, 2, 8, 0, "qv")
     tok = window_partition(x, 8, 0)
-    plain = window_merge(mhsa(tok, tok, tok, p))
+    plain = window_merge(mhsa(tok, tok, tok, p, 2))
     ok &= bool(np.abs(o1 - plain).max() < 1e-12)
     ok &= bool(np.abs(o2 - plain).max() < 1e-12)
 
     # zero-injection: stream 1 ignores its own detail bands and modality 2's
     # low band, so perturbing those leaves it bit-identical
-    from wavefuse.attention import CbamParams, frequency_interaction
-
-    cb = CbamParams(
-        ca_w1=g.standard_normal((c // 2, c)),
-        ca_w2=g.standard_normal((c, c // 2)),
-        sa_w=g.standard_normal((1, 2, 7, 7)),
-        sa_b=g.standard_normal(1),
+    cb = (  # ca_w1, ca_w2, sa_w, sa_b
+        g.standard_normal((c // 2, c)),
+        g.standard_normal((c, c // 2)),
+        g.standard_normal((1, 2, 7, 7)),
+        g.standard_normal(1),
     )
     low1, low2 = g.standard_normal((2, 1, c, 8, 8))
     high1, high2 = g.standard_normal((2, 3, c, 8, 8))

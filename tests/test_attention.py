@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,32 +11,28 @@ from wavefuse.errors import ShapeError
 from wavefuse.tensor import softmax_rows
 
 
-def random_params(rng, c=8, heads=2):
-    return att.AttentionParams(
-        wq=rng.standard_normal((c, c)),
-        wk=rng.standard_normal((c, c)),
-        wv=rng.standard_normal((c, c)),
-        wo=rng.standard_normal((c, c)),
-        heads=heads,
-    )
+def random_params(rng, c=8):
+    """(wq, wk, wv, wo), each (c, c)."""
+    return tuple(rng.standard_normal((c, c)) for _ in range(4))
 
 
 def random_cbam(rng, c=8, r=2):
-    return att.CbamParams(
-        ca_w1=rng.standard_normal((c // r, c)),
-        ca_w2=rng.standard_normal((c, c // r)),
-        sa_w=rng.standard_normal((1, 2, 7, 7)),
-        sa_b=rng.standard_normal(1),
+    """(ca_w1, ca_w2, sa_w, sa_b)."""
+    return (
+        rng.standard_normal((c // r, c)),
+        rng.standard_normal((c, c // r)),
+        rng.standard_normal((1, 2, 7, 7)),
+        rng.standard_normal(1),
     )
 
 
 def zero_cbam(c=8, r=2):
-    return att.CbamParams(
-        ca_w1=np.zeros((c // r, c)),
-        ca_w2=np.zeros((c, c // r)),
-        sa_w=np.zeros((1, 2, 7, 7)),
-        sa_b=np.zeros(1),
-    )
+    return (np.zeros((c // r, c)), np.zeros((c, c // r)), np.zeros((1, 2, 7, 7)), np.zeros(1))
+
+
+def oracle_params(w, heads):
+    """The attribute bag the loop oracle reads."""
+    return SimpleNamespace(heads=heads, **dict(zip(("wq", "wk", "wv", "wo"), w)))
 
 
 class TestWindows:
@@ -72,26 +70,25 @@ class TestMhsa:
     def test_zero_values_zero_output(self, rng):
         x = rng.standard_normal((1, 8, 8, 8))
         tok = att.window_partition(x, 4, 0)
-        p = random_params(rng)
-        p = att.AttentionParams(p.wq, p.wk, np.zeros((8, 8)), p.wo, p.heads)
-        out = att.mhsa(tok, tok, tok, p)
+        wq, wk, _, wo = random_params(rng)
+        out = att.mhsa(tok, tok, tok, (wq, wk, np.zeros((8, 8)), wo), 2)
         assert np.abs(out.tokens).max() == 0.0
 
     def test_single_token_window(self, rng):
         x = rng.standard_normal((1, 8, 1, 1))
         tok = att.window_partition(x, 1, 0)
         p = random_params(rng)
-        out = att.mhsa(tok, tok, tok, p)
-        want = x[0, :, 0, 0] @ p.wv @ p.wo
+        out = att.mhsa(tok, tok, tok, p, 2)
+        want = x[0, :, 0, 0] @ p[2] @ p[3]
         assert np.allclose(out.tokens[0, 0], want, atol=1e-12)
 
     def test_attention_rows_sum_to_one(self, rng):
         # recompute the attention matrix the same way mhsa builds it
         x = rng.standard_normal((1, 8, 8, 8))
         tok = att.window_partition(x, 4, 0)
-        p = random_params(rng)
-        q = (tok.tokens @ p.wq).reshape(4, 16, 2, 4).transpose(0, 2, 1, 3)
-        k = (tok.tokens @ p.wk).reshape(4, 16, 2, 4).transpose(0, 2, 1, 3)
+        wq, wk, _, _ = random_params(rng)
+        q = (tok.tokens @ wq).reshape(4, 16, 2, 4).transpose(0, 2, 1, 3)
+        k = (tok.tokens @ wk).reshape(4, 16, 2, 4).transpose(0, 2, 1, 3)
         attn = softmax_rows(q @ k.transpose(0, 1, 3, 2) / 2.0)
         assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-12
 
@@ -99,24 +96,24 @@ class TestMhsa:
         x = rng.standard_normal((1, 8, 4, 4))
         tok = att.window_partition(x, 4, 0)
         p = random_params(rng)
-        base = att.mhsa(tok, tok, tok, p).tokens
+        base = att.mhsa(tok, tok, tok, p, 2).tokens
         perm = rng.permutation(16)
         from dataclasses import replace
 
         tok_p = replace(tok, tokens=tok.tokens[:, perm, :])
-        out_p = att.mhsa(tok_p, tok_p, tok_p, p).tokens
+        out_p = att.mhsa(tok_p, tok_p, tok_p, p, 2).tokens
         assert np.allclose(out_p, base[:, perm, :], atol=1e-12)
 
 
 class TestCrossModalAttention:
     def plain_self_attention(self, x, p, w, shift):
         tok = att.window_partition(x, w, shift)
-        return att.window_merge(att.mhsa(tok, tok, tok, p))
+        return att.window_merge(att.mhsa(tok, tok, tok, p, 2))
 
     def test_identical_inputs_reduce_to_self_attention(self, rng):
         x = rng.standard_normal((1, 8, 8, 8))
         p = random_params(rng)
-        o1, o2 = att.cross_modal_attention(x, x.copy(), p, p, 4, 0)
+        o1, o2 = att.cross_modal_attention(x, x.copy(), p, p, 2, 4, 0, "qv")
         want = self.plain_self_attention(x, p, 4, 0)
         assert np.abs(o1 - want).max() < 1e-12
         assert np.abs(o2 - want).max() < 1e-12
@@ -125,16 +122,16 @@ class TestCrossModalAttention:
         x1 = rng.standard_normal((1, 8, 8, 8))
         x2 = rng.standard_normal((1, 8, 8, 8))
         p1, p2 = random_params(rng), random_params(rng)
-        a1, a2 = att.cross_modal_attention(x1, x2, p1, p2, 4, 0)
-        b1, b2 = att.cross_modal_attention(x2, x1, p2, p1, 4, 0)
+        a1, a2 = att.cross_modal_attention(x1, x2, p1, p2, 2, 4, 0, "qv")
+        b1, b2 = att.cross_modal_attention(x2, x1, p2, p1, 2, 4, 0, "qv")
         assert np.array_equal(a1, b2) and np.array_equal(a2, b1)
 
     def test_zero_v2_zeroes_first_output(self, rng):
         x1 = rng.standard_normal((1, 8, 8, 8))
         x2 = rng.standard_normal((1, 8, 8, 8))
         p1, p2 = random_params(rng), random_params(rng)
-        p2 = att.AttentionParams(p2.wq, p2.wk, np.zeros((8, 8)), p2.wo, p2.heads)
-        o1, o2 = att.cross_modal_attention(x1, x2, p1, p2, 4, 0, route="qv")
+        p2 = (p2[0], p2[1], np.zeros((8, 8)), p2[3])
+        o1, o2 = att.cross_modal_attention(x1, x2, p1, p2, 2, 4, 0, route="qv")
         assert np.abs(o1).max() == 0.0
         assert np.abs(o2).max() > 0.0
 
@@ -147,9 +144,11 @@ class TestCrossModalAttention:
         x1 = rng.standard_normal((2, 8, 8, 12))
         x2 = rng.standard_normal((2, 8, 8, 12))
         for heads in (1, 2, 4):
-            p1, p2 = random_params(rng, heads=heads), random_params(rng, heads=heads)
-            got = att.cross_modal_attention(x1, x2, p1, p2, 4, shift, route)
-            want = cross_modal_attention_naive(x1, x2, p1, p2, 4, shift, route)
+            p1, p2 = random_params(rng), random_params(rng)
+            got = att.cross_modal_attention(x1, x2, p1, p2, heads, 4, shift, route)
+            want = cross_modal_attention_naive(
+                x1, x2, oracle_params(p1, heads), oracle_params(p2, heads), 4, shift, route
+            )
             for g, w in zip(got, want):
                 assert np.abs(g - w).max() <= 1e-12, heads
 
@@ -157,40 +156,40 @@ class TestCrossModalAttention:
         x1 = rng.standard_normal((1, 8, 8, 8))
         x2 = rng.standard_normal((1, 8, 8, 8))
         p1, p2 = random_params(rng), random_params(rng)
-        qv = att.cross_modal_attention(x1, x2, p1, p2, 4, 0, route="qv")
-        k = att.cross_modal_attention(x1, x2, p1, p2, 4, 0, route="k")
+        qv = att.cross_modal_attention(x1, x2, p1, p2, 2, 4, 0, route="qv")
+        k = att.cross_modal_attention(x1, x2, p1, p2, 2, 4, 0, route="k")
         assert np.array_equal(qv[0], k[1]) and np.array_equal(qv[1], k[0])
 
 
 class TestCbam:
     def test_zero_mlp_half_gate(self, rng):
         x = rng.standard_normal((2, 8, 4, 4))
-        out = att.channel_attention(x, zero_cbam())
+        out = att.channel_attention(x, *zero_cbam()[:2])
         assert np.allclose(out, x / 2.0, atol=1e-15)
 
     def test_zero_input(self, rng):
-        out = att.channel_attention(np.zeros((1, 8, 4, 4)), random_cbam(rng))
+        out = att.channel_attention(np.zeros((1, 8, 4, 4)), *random_cbam(rng)[:2])
         assert np.abs(out).max() == 0.0
 
     def test_constant_input_gate(self, rng):
-        p = random_cbam(rng)
+        w1, w2, _, _ = random_cbam(rng)
         x = np.full((1, 8, 5, 5), 0.3)
-        out = att.channel_attention(x, p)
+        out = att.channel_attention(x, w1, w2)
         # avg-pool equals max-pool on constants, so the gate is sigmoid(2*MLP(c))
         v = np.full(8, 0.3)
-        mlp = np.maximum(v @ p.ca_w1.T, 0.0) @ p.ca_w2.T
+        mlp = np.maximum(v @ w1.T, 0.0) @ w2.T
         gate = 1.0 / (1.0 + np.exp(-2.0 * mlp))
         assert np.allclose(out[0, :, 0, 0], 0.3 * gate, atol=1e-12)
 
     def test_spatial_zero_conv_half_gate(self, rng):
         x = rng.standard_normal((1, 8, 6, 6))
-        out = att.spatial_attention(x, zero_cbam())
+        out = att.spatial_attention(x, *zero_cbam()[2:])
         assert np.allclose(out, x / 2.0, atol=1e-15)
 
     def test_spatial_constant_gate(self, rng):
-        p = random_cbam(rng)
+        _, _, w, b = random_cbam(rng)
         x = np.full((1, 8, 9, 9), 0.4)
-        out = att.spatial_attention(x, p)
+        out = att.spatial_attention(x, w, b)
         center = out[0, 0, 4, 4]
         assert abs(out[0, 0, 4, 3] - center) < 1e-12
 

@@ -1,0 +1,32 @@
+"""The benchmark's span counters (perfbench/layers.py) read layer arguments by
+name: mhsa's q_src, conv2d's x and kernel, softmax_rows' m and enhance_block's
+f1 and cfg. A signature change that renames one of them breaks the traced
+benchmark run; this test runs the same hooks on one small forward."""
+
+import importlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import layers  # noqa: E402
+import spans  # noqa: E402
+import wavefuse  # noqa: E402
+from wavefuse import network  # noqa: E402
+
+
+def test_traced_forward_feeds_every_counter(rng):
+    modules = {m: importlib.import_module(f"wavefuse.{m}") for m in layers.MODULES}
+    cfg = network.NetConfig()
+    weights = network.init_weights(cfg, 0)
+    a, b = rng.uniform(0, 1, (2, 32, 32))
+    tracer = spans.Tracer()
+    with spans.instrument(
+        tracer, modules, [wavefuse, *modules.values()], on_call=layers.COUNTERS
+    ):
+        out = network.forward(a, b, weights, cfg)
+    assert out.shape == (32, 32)
+    assert tracer.get("attention.mhsa").calls == 16
+    for counter in ("mhsa.flop", "conv2d.flop", "softmax.bytes", "pad.real_px"):
+        assert tracer.counters.get(counter, 0.0) > 0, counter
+    assert not hasattr(network.forward, "__wrapped__")  # bindings restored

@@ -11,7 +11,7 @@ import pytest
 from conftest import smooth_image
 from wavefuse import cli, network, wavelet
 from wavefuse.errors import FormatError
-from wavefuse.imageio import load_pnm, save_pnm, to_tensor
+from wavefuse.imageio import load_pnm, rgb_to_ycbcr, save_pnm, ycbcr_to_rgb
 from wavefuse.wavelet import dwt2
 
 
@@ -86,6 +86,24 @@ class TestFuse:
         code = cli.main(["fuse", a, b, "--weights", weights_path, "-o", out])
         assert code == 0
         assert load_pnm(out).shape == (16, 16, 3)
+
+    def test_color_from_picks_the_chroma(self, tmp_path, weights_path):
+        # the output is the fused luma under the chosen input's Cb and Cr,
+        # quantised to 8 bits
+        g = np.random.default_rng(4)
+        paths = [write_image(tmp_path / f"{s}.ppm", g.uniform(0, 1, (16, 16, 3))) for s in "ab"]
+        ycc = [rgb_to_ycbcr(load_pnm(p)) for p in paths]
+        weights, cfg = network.load_weights(weights_path)
+        fused_y = network.forward(ycc[0][..., 0], ycc[1][..., 0], weights, cfg)
+        got = {}
+        for k, side in enumerate("ab"):
+            out = str(tmp_path / f"f_{side}.ppm")
+            argv = ["fuse", *paths, "--weights", weights_path, "-o", out, "--color-from", side]
+            assert cli.main(argv) == 0
+            got[side] = np.round(load_pnm(out) * 255.0)
+            want = ycbcr_to_rgb(np.dstack([fused_y, ycc[k][..., 1], ycc[k][..., 2]]))
+            assert np.array_equal(got[side], np.floor(want * 255.0 + 0.5))
+        assert not np.array_equal(got["a"], got["b"])
 
     def test_shapes_come_from_the_weights_file(self, images):
         # Every NetConfig field differs from its default; fuse gets none of them.
@@ -203,7 +221,7 @@ class TestDecompose:
         out_dir = tmp_path / "bands"
         assert cli.main(["decompose", src, str(out_dir)]) == 0
         bands = wavelet.load_bands(out_dir / "r.bands")
-        want = dwt2(to_tensor(load_pnm(src)))
+        want = dwt2(load_pnm(src)[None, None])
         for k in range(4):  # LL, LH, HL, HH
             assert np.array_equal(bands[k], want[k])
 

@@ -78,42 +78,23 @@ def test_bad_maxval(tmp_path):
 class TestYCbCr:
     def test_gray_axis(self):
         ycc = io.rgb_to_ycbcr(np.ones((1, 1, 3)))
-        assert abs(ycc.y[0, 0] - 1.0) < 1e-15
-        assert abs(ycc.cb[0, 0]) < 1e-15
-        assert abs(ycc.cr[0, 0]) < 1e-15
+        assert abs(ycc[0, 0, 0] - 1.0) < 1e-15
+        assert abs(ycc[0, 0, 1]) < 1e-15
+        assert abs(ycc[0, 0, 2]) < 1e-15
 
     def test_black(self):
         ycc = io.rgb_to_ycbcr(np.zeros((1, 1, 3)))
-        assert ycc.y[0, 0] == 0 and ycc.cb[0, 0] == 0 and ycc.cr[0, 0] == 0
+        assert ycc[0, 0, 0] == 0 and ycc[0, 0, 1] == 0 and ycc[0, 0, 2] == 0
 
     def test_luma_coefficients(self):
         red = np.zeros((1, 1, 3))
         red[..., 0] = 1.0
-        assert abs(io.rgb_to_ycbcr(red).y[0, 0] - 0.299) < 1e-15
+        assert abs(io.rgb_to_ycbcr(red)[0, 0, 0] - 0.299) < 1e-15
 
     def test_roundtrip_1000_random_pixels(self, rng):
         rgb = rng.uniform(0, 1, (20, 50, 3))
         back = io.ycbcr_to_rgb(io.rgb_to_ycbcr(rgb))
         assert np.abs(back - rgb).max() < 1e-12
-
-    def test_plane_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            io.YCbCrImage(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-class TestTensorBridge:
-    def test_roundtrip(self, rng):
-        img = rng.uniform(0, 1, (6, 7))
-        assert np.array_equal(io.from_tensor(io.to_tensor(img)), img)
-
-    def test_clamp(self):
-        t = np.array([[[[1.3, -0.2]]]])
-        out = io.from_tensor(t)
-        assert np.array_equal(out, [[1.0, 0.0]])
-
-    def test_shape_error(self, rng):
-        with pytest.raises(ShapeError):
-            io.from_tensor(rng.standard_normal((1, 2, 3, 3)))
 
 
 NET = network.NetConfig(channels=4, blocks=1, window=4, heads=2, reduction=2)

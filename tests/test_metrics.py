@@ -7,7 +7,6 @@ from conftest import smooth_image
 from oracles import fmi_naive, qabf_naive, qw_naive, ssim_naive
 from wavefuse import metrics as M
 from wavefuse.errors import ShapeError
-from wavefuse.imageio import to_tensor
 from wavefuse.losses import ssim
 from wavefuse.wavelet import dwt2
 
@@ -197,7 +196,7 @@ class TestBandStudy:
         a, b, _ = triple(14)
         f = (a + b) / 2.0
         rows = M.band_correlation_study(a, b, f)
-        subs = {s: dwt2(to_tensor(x)) for s, x in (("a", a), ("b", b), ("f", f))}
+        subs = {s: dwt2(x[None, None]) for s, x in (("a", a), ("b", b), ("f", f))}
 
         def plane(src, band):
             return subs[src][("ll", "lh", "hl", "hh").index(band), 0, 0]

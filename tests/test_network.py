@@ -15,7 +15,6 @@ import pytest
 from oracles import enhance_block_naive, forward_naive
 from wavefuse.errors import FormatError, ShapeError
 from wavefuse import network as net
-from wavefuse.imageio import to_tensor
 
 
 SMALL = net.NetConfig(channels=8, blocks=2, window=4, heads=2, reduction=2)
@@ -136,7 +135,7 @@ class TestInit:
 class TestFeatureExtract:
     def test_zero_weights_zero_features(self, rng):
         w = net.zero_weights(SMALL)
-        img = to_tensor(rng.uniform(0, 1, (8, 8)))
+        img = rng.uniform(0, 1, (1, 1, 8, 8))
         out = net.feature_extract(img, w, 1)
         assert out.shape == (1, 8, 8, 8)
         assert np.abs(out).max() == 0.0
@@ -144,7 +143,7 @@ class TestFeatureExtract:
     def test_bias_propagates(self, rng):
         w = net.zero_weights(SMALL)
         w["fe1.3.bias"] = np.full(8, -2.0)
-        out = net.feature_extract(to_tensor(rng.uniform(0, 1, (4, 4))), w, 1)
+        out = net.feature_extract(rng.uniform(0, 1, (1, 1, 4, 4)), w, 1)
         # final leaky(0.1) maps -2 to -0.2 everywhere
         assert np.allclose(out, -0.2)
 
@@ -243,6 +242,14 @@ class TestForward:
         assert out.shape == (13, 9)
         assert np.isfinite(out).all()
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+    def test_output_clamped_to_unit_range(self, rng):
+        # zero weights make the fused image the head's last bias everywhere
+        a, b = rng.uniform(0, 1, (2, 9, 11))
+        w = net.zero_weights(SMALL)
+        for bias, want in ((1.3, 1.0), (-0.2, 0.0), (0.4, 0.4)):
+            w["fuse.3.bias"] = np.full(1, bias)
+            assert np.array_equal(net.forward(a, b, w, SMALL), np.full((9, 11), want))
 
     def test_deterministic(self, rng):
         w = net.init_weights(SMALL, 1)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import dwt2_naive
 from wavefuse.errors import ShapeError
-from wavefuse.wavelet import dwt2, iwt2
+from wavefuse.wavelet import dwt2, iwt2, save_bands
 
 
 def test_constant_image():
@@ -104,3 +104,14 @@ def test_detail_bands_stack_along_batch_as_a_view(rng):
     assert np.shares_memory(high, s)
     for k in range(3):  # batch blocks [LH; HL; HH]
         assert np.array_equal(high[2 * k : 2 * k + 2], s[k + 1])
+
+
+def test_save_bands_rejects_more_than_one_plane(tmp_path, rng):
+    # a .bands file holds one plane; dropping the others silently loses data
+    path = tmp_path / "x.bands"
+    for shape in ((2, 3, 8, 8), (1, 3, 8, 8), (2, 1, 8, 8)):
+        with pytest.raises(ShapeError, match="one plane"):
+            save_bands(dwt2(rng.standard_normal(shape)), path)
+    with pytest.raises(ShapeError, match="one plane"):
+        save_bands(dwt2(rng.standard_normal((1, 1, 8, 8)))[:, 0], path)
+    assert not path.exists()
