@@ -26,6 +26,9 @@ SSIM_C2 = 0.03**2
 GRADCHECK_H = 1e-6
 GRADCHECK_SAMPLES = 64
 
+# Input bytes per strip of the row-local filters, so a strip stays in L2 cache.
+_STRIP_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -79,10 +82,10 @@ def _part(x, axis, start, n):
     return x[start : start + n] if axis == 0 else x[:, start : start + n]
 
 
-def _correlate(x, taps, axis):
+def _correlate(x, taps, axis, out=None):
     """Valid 1-D correlation of x with taps along one axis."""
     n = x.shape[axis] - len(taps) + 1
-    out = taps[0] * _part(x, axis, 0, n)
+    out = np.multiply(taps[0], _part(x, axis, 0, n), out=out)
     for u in range(1, len(taps)):
         out += taps[u] * _part(x, axis, u, n)
     return out
@@ -99,24 +102,42 @@ def _correlate_adjoint(g, taps, axis):
     return out
 
 
+def _by_strips(fn, x, halo):
+    """Run fn(strip, out) over strips of x, writing one output array. fn is
+    row-local: output row i reads input rows i to i + halo, and has halo fewer
+    columns. Each row is computed as in one pass over x, so the bits agree.
+    An x of one strip takes that pass: fn(x, None) returns a new array."""
+    n = x.shape[0] - halo
+    rows = max(1, _STRIP_BYTES // x[0].nbytes)
+    if n <= rows:
+        return fn(x, None)
+    out = np.empty((n, x.shape[1] - halo), x.dtype)
+    for i in range(0, n, rows):
+        fn(x[i : i + rows + halo], out[i : i + rows])
+    return out
+
+
 def _sliding(x, size, reduce):
     """Apply a binary ufunc (np.add, np.minimum, ...) across every size x size
-    window of x, one axis at a time; the output is the valid part."""
-    for axis in (0, 1):
-        n = x.shape[axis] - size + 1
-        out = _part(x, axis, 0, n).copy()
-        for u in range(1, size):
-            reduce(out, _part(x, axis, u, n), out=out)
-        x = out
-    return x
+    window of x (size >= 2), one axis at a time; the output is the valid part."""
+    def windows(x, out):
+        for axis, dst in ((0, None), (1, out)):
+            n = x.shape[axis] - size + 1
+            dst = reduce(_part(x, axis, 0, n), _part(x, axis, 1, n), out=dst)
+            for u in range(2, size):
+                reduce(dst, _part(x, axis, u, n), out=dst)
+            x = dst
+        return x
+
+    return _by_strips(windows, x, size - 1)
 
 
 def filt(x, k):
     """Correlate with the separable kernel k (taps down the rows, taps along
     the columns) under reflect padding; output size equals input size."""
     kr, kc = k
-    xp = np.pad(x, len(kr) // 2, mode="reflect")
-    return _correlate(_correlate(xp, kr, 0), kc, 1)
+    xp = np.pad(np.asarray(x, dtype=np.float64), len(kr) // 2, mode="reflect")
+    return _by_strips(lambda s, out: _correlate(_correlate(s, kr, 0), kc, 1, out), xp, len(kr) - 1)
 
 
 def filt_adjoint(g, k):

@@ -43,6 +43,9 @@ class MetricReport:
 
 
 def _edge_strength_orientation(x):
+    # Under reflect padding the Sobel response across a side under 3 px is 0.
+    if min(x.shape) < 3:
+        raise ShapeError(f"edge features need at least 3x3 images, got {x.shape}")
     sx = filt(x, SOBEL_X)
     sy = filt(x, SOBEL_Y)
     sx = np.where(np.abs(sx) < EDGE_EPS, 0.0, sx)
@@ -78,8 +81,6 @@ def q_abf(a, b, f):
     score 1.
     """
     a, b, f = check_images(a, b, f)
-    if min(a.shape) < 3:
-        raise ShapeError(f"q_abf needs at least 3x3 images, got {a.shape}")
     ga, ta = _edge_strength_orientation(a)
     gb, tb = _edge_strength_orientation(b)
     gf, tf = _edge_strength_orientation(f)
@@ -112,15 +113,14 @@ def _q0(x, mean_x, var_x, y, mean_y, var_y):
     # Cauchy-Schwarz bound sqrt(var_x * var_y) on windows whose pixels differ
     # by an ulp, and that is nonzero on flat windows, whose covariance with
     # any other is exactly 0. Clamped to the bound, |Q0| <= 1 up to rounding.
-    # The bound is dropped at once: q_w's peak memory is reached below.
+    # The bound is dropped and num divided in place, to keep q_w's peak low.
     bound = np.sqrt(var_x * var_y)
     cov = np.clip(_window_mean(x * y) - mean_x * mean_y, -bound, bound)
     del bound
     num = 4.0 * cov * mean_x * mean_y
     den = (var_x + var_y) * (mean_x**2 + mean_y**2)
-    out = np.empty_like(num)
     ok = den != 0.0
-    out[ok] = num[ok] / den[ok]
+    out = np.divide(num, den, out=num, where=ok)
     # Degenerate windows: equal content is perfect, anything else scores 0.
     bad = ~ok
     out[bad] = _sliding(np.abs(x - y), QW_WINDOW, np.maximum)[bad] == 0.0
@@ -150,9 +150,34 @@ def _entropy(p):
     return float(-(nz * np.log(nz)).sum())
 
 
+def _bin_index(v):
+    """Each sample's bin among FMI_BINS equal bins over v's range, as
+    np.histogram2d assigns it: by arithmetic checked against the edges, or by
+    binary search where one correction step leaves a miss."""
+    lo, hi = v.min(), v.max()
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    # histogram2d's edges, which never decrease; with the top one open, the
+    # bin is the i with edges[i] <= v < edges[i + 1], and hi is in the last.
+    edges = np.linspace(lo, hi, FMI_BINS + 1)
+    edges[-1] = np.inf
+    below, above = edges[:-1], edges[1:]
+    # A Python float division overflows to inf without a warning.
+    scale = FMI_BINS / float(hi - lo) if hi > lo else np.inf
+    if scale < np.inf:
+        i = np.minimum(((v - lo) * scale).astype(np.intp), FMI_BINS - 1)
+        i -= v < below[i]
+        i += v >= above[i]
+        if np.all((below[i] <= v) & (v < above[i])):
+            return i
+    # Ranges a few ulps wide, where the edges repeat.
+    return np.searchsorted(edges, v, side="right") - 1
+
+
 def _normalized_mi(x, y):
     """2*I(X;Y) / (H(X)+H(Y)) over 256-bin joint histograms."""
-    hist, _, _ = np.histogram2d(x.ravel(), y.ravel(), bins=FMI_BINS)
+    ix, iy = _bin_index(x.ravel()), _bin_index(y.ravel())
+    hist = np.bincount(ix * FMI_BINS + iy, minlength=FMI_BINS**2).reshape(FMI_BINS, -1)
     p = hist / hist.sum()
     px = p.sum(axis=1)
     py = p.sum(axis=0)

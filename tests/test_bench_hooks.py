@@ -1,7 +1,9 @@
 """The benchmark's span counters (perfbench/layers.py) read layer arguments by
 name: mhsa's q_src, conv2d's x and kernel, softmax_rows' m and enhance_block's
 f1 and cfg. A signature change that renames one of them breaks the traced
-benchmark run; this test runs the same hooks on one small forward."""
+benchmark run; this test runs the same hooks on one small forward. The traced
+score workload asserts exact span counts, which a new public helper would
+change; the second test counts them on a small triple."""
 
 import importlib
 import sys
@@ -12,7 +14,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import layers  # noqa: E402
 import spans  # noqa: E402
 import wavefuse  # noqa: E402
-from wavefuse import network  # noqa: E402
+import workloads  # noqa: E402
+from wavefuse import metrics, network  # noqa: E402
 
 
 def test_traced_forward_feeds_every_counter(rng):
@@ -30,3 +33,19 @@ def test_traced_forward_feeds_every_counter(rng):
     for counter in ("mhsa.flop", "conv2d.flop", "softmax.bytes", "pad.real_px"):
         assert tracer.counters.get(counter, 0.0) > 0, counter
     assert not hasattr(network.forward, "__wrapped__")  # bindings restored
+
+
+def test_traced_score_span_counts(rng):
+    modules = {m: importlib.import_module(f"wavefuse.{m}") for m in layers.MODULES}
+    a, b = rng.uniform(0, 1, (2, 64, 64))
+    f = 0.5 * (a + b)
+    tracer = spans.Tracer()
+    with spans.instrument(
+        tracer, modules, [wavefuse, *modules.values()], on_call=layers.COUNTERS
+    ):
+        metrics.score(a, b, f)
+        metrics.band_correlation_study(a, b, f)
+    # The benchmark's own table: 22 ssim calls of five filts each, and two
+    # filts per image in q_abf and in fmi, 122 filts in all.
+    for name, want in workloads.Score.EXPECTED_CALLS.items():
+        assert tracer.get(name).calls == want, name

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,65 @@ class TestFilters:
             lhs = (L.filt(x, k) * y).sum()
             rhs = (x * L.filt_adjoint(y, k)).sum()
             assert abs(lhs - rhs) < 1e-9
+
+
+# Heights and widths of the strip tests, as a function of the rows per strip
+# at width 64: one strip exactly, one strip plus one row, two strips and a
+# remainder of one row, then a tall-narrow and a wide image.
+STRIP_SHAPES = {
+    "one_strip": lambda rows, halo: (rows + halo, 64),
+    "plus_one_row": lambda rows, halo: (rows + halo + 1, 64),
+    "remainder_of_one_row": lambda rows, halo: (2 * rows + halo + 1, 64),
+    "tall_narrow": lambda rows, halo: (513, 97),
+    "wide": lambda rows, halo: (97, 1000),
+}
+STRIP_FILTERS = {
+    # name: (function of x, halo, extra input columns the strip sees)
+    "gauss": (lambda x: L.filt(x, L.gaussian_window()), 0, 2 * (L.SSIM_WINDOW // 2)),
+    "sobel_x": (lambda x: L.filt(x, L.SOBEL_X), 0, 2),
+    "sobel_y": (lambda x: L.filt(x, L.SOBEL_Y), 0, 2),
+    "box_sum": (lambda x: L._sliding(x, 8, np.add), 7, 0),
+    "max": (lambda x: L._sliding(x, 8, np.maximum), 7, 0),
+    "min": (lambda x: L._sliding(x, 8, np.minimum), 7, 0),
+}
+
+
+class TestStrips:
+    """filt and _sliding run over strips of output rows; every row must come
+    out bit for bit as in one pass over the whole image."""
+
+    @pytest.mark.parametrize("case", STRIP_SHAPES)
+    @pytest.mark.parametrize("name", STRIP_FILTERS)
+    def test_strips_match_one_pass(self, monkeypatch, rng, name, case):
+        fn, halo, extra = STRIP_FILTERS[name]
+        rows = L._STRIP_BYTES // (8 * (64 + extra))
+        x = rng.uniform(0.0, 1.0, STRIP_SHAPES[case](rows, halo))
+        got = fn(x)
+        with monkeypatch.context() as m:
+            m.setattr(L, "_STRIP_BYTES", 2**62)
+            want = fn(x)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_many_strips_match_loop_oracle(self, monkeypatch, rng):
+        # Four output rows per strip: a 23-row image takes six strips.
+        monkeypatch.setattr(L, "_STRIP_BYTES", 4 * 8 * (30 + 10))
+        x = rng.standard_normal((23, 30))
+        got = L.filt(x, L.gaussian_window())
+        assert np.abs(got - correlate_reflect(x, gauss_kernel())).max() <= 1e-12
+
+    def test_filt_peak_memory_512(self, rng):
+        # One pass held the padded image, the row pass and the output at once
+        # (8.2 MiB for a 2 MiB image); strips hold one strip of the row pass.
+        x = rng.uniform(0.0, 1.0, (512, 512))
+        g = L.gaussian_window()
+        tracemalloc.start()
+        try:
+            L.filt(x, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.nbytes
 
 
 SMALL_SHAPES = [(h, w) for h in range(1, 13) for w in range(1, 13)]

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import smooth_image
 from oracles import fmi_naive, qabf_naive, qw_naive, ssim_naive
@@ -44,6 +46,12 @@ class TestQabf:
     def test_range(self):
         a, b, f = triple(4)
         assert 0.0 <= M.q_abf(a, b, f) <= 1.0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 9), (9, 2)])
+    def test_too_small(self, shape):
+        z = np.zeros(shape)
+        with pytest.raises(ShapeError):
+            M.q_abf(z, z, z)
 
 
 class TestQw:
@@ -151,6 +159,95 @@ class TestFmi:
     def test_range(self):
         a, b, f = triple(9)
         assert 0.0 <= M.fmi(a, b, f) <= 1.0
+
+    def test_matches_oracle_64(self):
+        a, b, f = triple(11, size=64)
+        assert M.fmi(a, b, f) == pytest.approx(fmi_naive(a, b, f), abs=1e-9)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 9), (9, 2)])
+    def test_too_small(self, shape):
+        # Across a side under 3 px the Sobel response is identically 0, so
+        # random 2x2 triples scored a perfect 1.0.
+        g = np.random.default_rng(12)
+        with pytest.raises(ShapeError):
+            M.fmi(*g.uniform(0, 1, (3, *shape)))
+
+    def test_three_by_three_is_scored(self):
+        a, b, f = np.random.default_rng(13).uniform(0, 1, (3, 3, 3))
+        assert 0.0 <= M.fmi(a, b, f) <= 1.0
+
+
+SAMPLE_KINDS = ("uniform", "quantised", "edges", "constant", "ulps")
+
+
+def _samples(kind, g, n, scale):
+    """n samples of one kind, scaled by `scale`."""
+    if kind == "uniform":
+        return g.uniform(0.0, 1.0, n) * scale
+    if kind == "quantised":
+        return g.integers(0, 256, n) / 255.0 * scale
+    if kind == "edges":
+        # Values on histogram2d's own bin edges, min and max included.
+        lo, hi = np.sort(g.uniform(0.0, 1.0, 2)) * scale
+        edges = np.linspace(lo, hi, M.FMI_BINS + 1)
+        return np.concatenate([[lo, hi], g.choice(edges, max(n - 2, 0))])[:n]
+    if kind == "constant":
+        return np.full(n, g.uniform(0.0, 1.0) * scale)
+    # A range a few ulps wide, where histogram2d's edges repeat.
+    v = np.full(n, g.uniform(0.5, 1.0) * scale)
+    for _ in range(3):
+        v = np.where(g.random(n) < 0.5, np.nextafter(v, np.inf), v)
+    return v
+
+
+def joint_counts(x, y):
+    """The FMI joint histogram, counted as metrics._normalized_mi counts it."""
+    ix, iy = M._bin_index(x), M._bin_index(y)
+    return np.bincount(ix * M.FMI_BINS + iy, minlength=M.FMI_BINS**2).reshape(M.FMI_BINS, -1)
+
+
+def no_binary_search(*args, **kwargs):
+    raise AssertionError("np.searchsorted called")
+
+
+class TestJointHistogram:
+    """The FMI joint histogram bins by arithmetic and must count exactly as
+    np.histogram2d does."""
+
+    @given(
+        st.sampled_from(SAMPLE_KINDS),
+        st.sampled_from(SAMPLE_KINDS),
+        st.integers(-300, 6),
+        st.integers(1, 600),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_counts_equal_histogram2d(self, kind_x, kind_y, exponent, n, seed):
+        g = np.random.default_rng(seed)
+        scale = 10.0**exponent
+        x, y = _samples(kind_x, g, n, scale), _samples(kind_y, g, n, scale)
+        want = np.histogram2d(x, y, bins=M.FMI_BINS)[0]
+        assert np.array_equal(joint_counts(x, y), want)
+
+    def test_ulp_wide_range(self, monkeypatch):
+        # histogram2d's edges repeat here: it puts 1 - ulp in bin 127, not in
+        # the bin one correction step from the arithmetic guess of 0.
+        x = np.array([np.nextafter(1.0, 0.0), 1.0] * 3)
+        y = np.arange(6.0)
+        want = np.histogram2d(x, y, bins=M.FMI_BINS)[0]
+        assert want[127].sum() == 3
+        assert np.array_equal(joint_counts(x, y), want)
+        monkeypatch.setattr(np, "searchsorted", no_binary_search)
+        with pytest.raises(AssertionError, match="searchsorted"):
+            M._bin_index(x)
+
+    @pytest.mark.parametrize("kind", ["uniform", "quantised", "edges", "constant"])
+    def test_arithmetic_path_is_taken(self, monkeypatch, kind):
+        g = np.random.default_rng(14)
+        x, y = _samples(kind, g, 4096, 1.0), _samples("uniform", g, 4096, 1.0)
+        want = np.histogram2d(x, y, bins=M.FMI_BINS)[0]
+        monkeypatch.setattr(np, "searchsorted", no_binary_search)
+        assert np.array_equal(joint_counts(x, y), want)
 
 
 class TestScore:
