@@ -86,14 +86,19 @@ def mhsa(q_src, k_src, v_src, w, heads):
     # so q @ k is the scaled logits with no transpose or division over them.
     q = (q_src.tokens @ (wq / np.sqrt(d))).reshape(nwin, t, h, d).transpose(0, 2, 1, 3)
     k = (k_src.tokens @ wk).reshape(nwin, t, h, d).transpose(0, 2, 3, 1)
+    attn = q @ k
+    # The logits set the forward's peak: V is made only once Q and K are gone.
+    del q, k
+    attn = softmax_rows(attn)
     v = (v_src.tokens @ wv).reshape(nwin, t, h, d).transpose(0, 2, 1, 3)
-    attn = softmax_rows(q @ k)
-    out = (attn @ v).transpose(0, 2, 1, 3).reshape(nwin, t, c) @ wo
-    return replace(q_src, tokens=out)
+    out = attn @ v
+    del attn, v
+    return replace(q_src, tokens=out.transpose(0, 2, 1, 3).reshape(nwin, t, c) @ wo)
 
 
-def cross_modal_attention(f1, f2, w1, w2, heads, window, shift, route):
-    """Windowed attention wired across the two modalities of one band.
+def cross_modal_attention(tok1, tok2, w1, w2, heads, route):
+    """Windowed attention wired across the two modalities of one band, given
+    each modality's window_partition tokens; returns the two merged tensors.
 
     w1 and w2 are the (wq, wk, wv, wo) projections of each modality.
     route="qv": each output stream takes queries and values from the opposite
@@ -101,7 +106,7 @@ def cross_modal_attention(f1, f2, w1, w2, heads, window, shift, route):
     use the output projection of the modality that supplied Q/V. `route` is
     NetConfig.cross_route, which checks it.
     """
-    toks = (window_partition(f1, window, shift), window_partition(f2, window, shift))
+    toks = (tok1, tok2)
     ws = (w1, w2)
     # outs[m]: Q, V and wo from modality m, K from the other one.
     outs = [

@@ -1,14 +1,15 @@
 """Command-line interface: fuse, fuse-opt, decompose, analyze-bands, metrics,
 gradcheck, init-weights.
 
-Exit codes: 0 success, 2 input/validation error, 3 weights/format error,
-4 internal invariant violation.
+Exit codes: 0 success, 2 input/validation error or too little memory for fuse,
+3 weights/format error, 4 internal invariant violation.
 """
 
 import argparse
 import dataclasses
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -117,9 +118,36 @@ def _emit_color(fused_y, chroma, out_path):
     save_pnm(fused_y, out_path)
 
 
+def _headroom():
+    """Bytes this process can still allocate, or None: the soft address-space
+    rlimit less the address-space size, else the cgroup v2 memory.max less
+    memory.current, else the free physical memory; the first that is readable."""
+    if not hasattr(os, "sysconf"):  # Windows, which has no resource module either
+        return None
+    import resource
+
+    page, soft = os.sysconf("SC_PAGE_SIZE"), resource.getrlimit(resource.RLIMIT_AS)[0]
+    try:
+        if soft != resource.RLIM_INFINITY:
+            return soft - int(Path("/proc/self/statm").read_text().split()[0]) * page
+        groups = Path("/proc/self/cgroup").read_text().splitlines()
+        cg = Path("/sys/fs/cgroup" + next(g[3:] for g in groups if g.startswith("0::")))
+        return int((cg / "memory.max").read_text()) - int((cg / "memory.current").read_text())
+    except (OSError, StopIteration, ValueError):  # no /proc, no v2 group, or no memory.max
+        pass
+    free = os.sysconf_names.get("SC_AVPHYS_PAGES")
+    return None if free is None else os.sysconf(free) * page
+
+
 def cmd_fuse(args):
     ya, yb, chroma = _load_pair(args)
     weights, cfg = network.load_weights(args.weights)
+    need, room = network.peak_bytes(*ya.shape, cfg), _headroom()
+    if room is not None and need > room:
+        raise ValueError(
+            f"fusing {ya.shape[0]}x{ya.shape[1]} needs about {need / 2**20:.0f} MiB, more than "
+            f"the {room / 2**20:.0f} MiB this process can still allocate"
+        )
     _emit_color(network.forward(ya, yb, weights, cfg), chroma, args.output)
     return EXIT_OK
 

@@ -42,7 +42,8 @@ class MetricReport:
     fmi: float
 
 
-def _edge_strength_orientation(x):
+def _edge_strength(x):
+    """Sobel gradient magnitude, and the x and y responses it is made of."""
     # Under reflect padding the Sobel response across a side under 3 px is 0.
     if min(x.shape) < 3:
         raise ShapeError(f"edge features need at least 3x3 images, got {x.shape}")
@@ -50,7 +51,11 @@ def _edge_strength_orientation(x):
     sy = filt(x, SOBEL_Y)
     sx = np.where(np.abs(sx) < EDGE_EPS, 0.0, sx)
     sy = np.where(np.abs(sy) < EDGE_EPS, 0.0, sy)
-    g = np.sqrt(sx * sx + sy * sy)
+    return np.sqrt(sx * sx + sy * sy), sx, sy
+
+
+def _edge_strength_orientation(x):
+    g, sx, sy = _edge_strength(x)
     theta = np.where(sx == 0.0, np.pi / 2.0, np.arctan(np.divide(sy, np.where(sx == 0.0, 1.0, sx))))
     return g, theta
 
@@ -140,6 +145,7 @@ def q_w(a, b, f):
     sal = var_a + var_b
     lam = np.where(sal > 0.0, var_a / np.where(sal == 0.0, 1.0, sal), 0.5)
     q = lam * q0_af + (1.0 - lam) * q0_bf
+    del q0_af, q0_bf, sal, lam  # dead: freed before c and c * q, q_w's peak
     c = np.maximum(var_a, var_b)
     total = c.sum()
     return float(q.mean() if total == 0.0 else (c * q).sum() / total)
@@ -174,9 +180,10 @@ def _bin_index(v):
     return np.searchsorted(edges, v, side="right") - 1
 
 
-def _normalized_mi(x, y):
-    """2*I(X;Y) / (H(X)+H(Y)) over 256-bin joint histograms."""
-    ix, iy = _bin_index(x.ravel()), _bin_index(y.ravel())
+def _normalized_mi(x, ix, y):
+    """2*I(X;Y) / (H(X)+H(Y)) over 256-bin joint histograms; ix is
+    _bin_index(x.ravel()), which the caller computes once for several y."""
+    iy = _bin_index(y.ravel())
     hist = np.bincount(ix * FMI_BINS + iy, minlength=FMI_BINS**2).reshape(FMI_BINS, -1)
     p = hist / hist.sum()
     px = p.sum(axis=1)
@@ -191,10 +198,9 @@ def fmi(a, b, f):
     """Mean normalized mutual information between gradient-magnitude features
     of the fused image and each source."""
     a, b, f = check_images(a, b, f)
-    feat_a, _ = _edge_strength_orientation(a)
-    feat_b, _ = _edge_strength_orientation(b)
-    feat_f, _ = _edge_strength_orientation(f)
-    return 0.5 * (_normalized_mi(feat_f, feat_a) + _normalized_mi(feat_f, feat_b))
+    feat_a, feat_b, feat_f = (_edge_strength(x)[0] for x in (a, b, f))
+    bins_f = _bin_index(feat_f.ravel())
+    return 0.5 * (_normalized_mi(feat_f, bins_f, feat_a) + _normalized_mi(feat_f, bins_f, feat_b))
 
 
 def score(a, b, f):

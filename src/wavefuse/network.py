@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import cross_modal_attention, frequency_interaction
+from .attention import cross_modal_attention, frequency_interaction, window_partition
 from .errors import FormatError, ShapeError
 from .imageio import check_images
 from .wavelet import dwt2, iwt2
@@ -146,18 +146,6 @@ def feature_extract(x, weights, branch):
     return x
 
 
-def _band_attention(x1, x2, index, band, weights, cfg):
-    """Cross-modal attention over one band of block `index`; stream m uses the
-    block{index}.s{m}.attn.{band} projections. Odd blocks shift the windows by
-    half a window."""
-    w1, w2 = (
-        [weights[f"block{index}.s{m}.attn.{band}.{w}"] for w in ("wq", "wk", "wv", "wo")]
-        for m in (1, 2)
-    )
-    shift = (index % 2) * (cfg.window // 2)
-    return cross_modal_attention(x1, x2, w1, w2, cfg.heads, cfg.window, shift, cfg.cross_route)
-
-
 def _pad_to_multiple(x, mult):
     """Mirror-pad bottom/right so both spatial dims are multiples of mult."""
     _, _, h, w = x.shape
@@ -173,35 +161,68 @@ def enhance_block(f1, f2, index, weights, cfg):
 
     LN -> DWT -> cross-modal band attention -> channel/spatial gating with the
     detail-band swap -> IWT + residual -> LN -> token MLP + residual.
-    Odd or non-window-aligned inputs are mirror-padded and cropped back.
+    Odd or non-window-aligned inputs are mirror-padded and cropped back; odd
+    blocks shift the windows by half a window. Intermediates die once consumed.
     """
     h, wd = f1.shape[2:]
     prefixes = [f"block{index}.s{m}" for m in (1, 2)]
+    shift = (index % 2) * (cfg.window // 2)
 
-    padded, subs = [], []
+    padded, toks = [], {"low": [], "high": []}
     for f, p in zip((f1, f2), prefixes):
-        fp = _pad_to_multiple(f, 2 * cfg.window)
-        padded.append(fp)
-        subs.append(dwt2(T.layer_norm(fp, weights[f"{p}.ln1.gain"], weights[f"{p}.ln1.shift"])))
-    lows = _band_attention(subs[0][0], subs[1][0], index, "low", weights, cfg)
-    # The detail bands as one (3B, C, h, w) batch [LH; HL; HH]: a view, no copy.
-    highs = _band_attention(
-        *(s[1:].reshape(-1, *s.shape[2:]) for s in subs), index, "high", weights, cfg
+        padded.append(_pad_to_multiple(f, 2 * cfg.window))
+        s = dwt2(T.layer_norm(padded[-1], weights[f"{p}.ln1.gain"], weights[f"{p}.ln1.shift"]))
+        # Tokens are copies, so the bands die here; the details are one batch [LH; HL; HH].
+        toks["low"].append(window_partition(s[0], cfg.window, shift))
+        toks["high"].append(window_partition(s[1:].reshape(-1, *s.shape[2:]), cfg.window, shift))
+    del s
+
+    def params(layer, names):  # stream m's block{index}.s{m}.{layer}.{name} weights
+        return ([weights[f"{p}.{layer}.{n}"] for n in names] for p in prefixes)
+
+    # Popped, each band's tokens die as its attention returns.
+    lows, highs = (
+        cross_modal_attention(
+            *toks.pop(b), *params(f"attn.{b}", ("wq", "wk", "wv", "wo")), cfg.heads, cfg.cross_route
+        )
+        for b in ("low", "high")
     )
-    gates = (
-        [weights[f"{p}.cbam.{g}"] for g in ("ca_w1", "ca_w2", "sa_w", "sa_b")] for p in prefixes
-    )
-    fres = frequency_interaction(*lows, *highs, *gates)
+    gates = params("cbam", ("ca_w1", "ca_w2", "sa_w", "sa_b"))
+    fres = list(frequency_interaction(*lows, *highs, *gates))
+    del lows, highs
 
     outs = []
-    for (low, high), fp, p in zip(fres, padded, prefixes):
-        fprime = iwt2((low, *high.reshape(3, *low.shape))) + fp
+    for p in prefixes:
+        low, high = fres.pop(0)
+        fprime = iwt2((low, *high.reshape(3, *low.shape)))
+        del low, high
+        fprime += padded.pop(0)
         x = T.layer_norm(fprime, weights[f"{p}.ln2.gain"], weights[f"{p}.ln2.shift"])
-        x = x.reshape(*x.shape[:2], -1)  # (B, C, H*W): the MLP mixes channels only
-        hid = T.leaky_relu(weights[f"{p}.mlp.w1"] @ x + weights[f"{p}.mlp.b1"][:, None], SLOPE)
-        mlp_out = weights[f"{p}.mlp.w2"] @ hid + weights[f"{p}.mlp.b2"][:, None]
-        outs.append((mlp_out.reshape(fprime.shape) + fprime)[:, :, :h, :wd])
+        # (B, C, H*W): the MLP mixes channels only. Rebinding x frees each input.
+        x = weights[f"{p}.mlp.w1"] @ x.reshape(*x.shape[:2], -1)
+        x += weights[f"{p}.mlp.b1"][:, None]
+        x = weights[f"{p}.mlp.w2"] @ T.leaky_relu(x, SLOPE)
+        x += weights[f"{p}.mlp.b2"][:, None]
+        x = x.reshape(fprime.shape)
+        x += fprime
+        outs.append(x[:, :, :h, :wd])
     return tuple(outs)
+
+
+def peak_bytes(h, w, cfg):
+    """Estimated peak bytes forward allocates on an h x w pair: the two block
+    inputs, plus per padded pixel the larger of two stages, in C channels. At
+    the second high-band logits: padded input copies if any (2C), detail tokens
+    (1.5C), low-band outputs (0.5C), first stream's output (0.75C), q and k
+    (1.5C), logits (0.75 heads window²). In the second token MLP: the first
+    output and fprime (2C), and the hidden layer and two copies (3 mlp_ratio C)."""
+    mult = 2 * cfg.window
+    padded = math.ceil(h / mult) * mult * math.ceil(w / mult) * mult
+    c = cfg.channels
+    copies = 2 * c * padded if padded != h * w else 0
+    attention = c * (1.5 + 0.5 + 0.75 + 1.5) + 0.75 * cfg.heads * cfg.window**2
+    mlp = c * (2 + 3 * cfg.mlp_ratio)
+    return int(8 * (2 * c * h * w + max(copies + padded * attention, padded * mlp)))
 
 
 def forward(i1, i2, weights, cfg):

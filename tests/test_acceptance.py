@@ -58,8 +58,8 @@ def test_criterion_02_attention_invariants():
     c = 8
     x = g.standard_normal((1, c, 16, 16))
     p = tuple(g.standard_normal((c, c)) for _ in range(4))  # wq, wk, wv, wo
-    o1, o2 = cross_modal_attention(x, x.copy(), p, p, 2, 8, 0, "qv")
     tok = window_partition(x, 8, 0)
+    o1, o2 = cross_modal_attention(tok, window_partition(x.copy(), 8, 0), p, p, 2, "qv")
     plain = window_merge(mhsa(tok, tok, tok, p, 2))
     ok &= bool(np.abs(o1 - plain).max() < 1e-12)
     ok &= bool(np.abs(o2 - plain).max() < 1e-12)

@@ -30,6 +30,12 @@ def zero_cbam(c=8, r=2):
     return (np.zeros((c // r, c)), np.zeros((c, c // r)), np.zeros((1, 2, 7, 7)), np.zeros(1))
 
 
+def cross_modal(x1, x2, p1, p2, heads, w, shift, route):
+    """cross_modal_attention on the window tokens of two (B, C, H, W) tensors."""
+    toks = (att.window_partition(x, w, shift) for x in (x1, x2))
+    return att.cross_modal_attention(*toks, p1, p2, heads, route)
+
+
 def oracle_params(w, heads):
     """The attribute bag the loop oracle reads."""
     return SimpleNamespace(heads=heads, **dict(zip(("wq", "wk", "wv", "wo"), w)))
@@ -113,7 +119,7 @@ class TestCrossModalAttention:
     def test_identical_inputs_reduce_to_self_attention(self, rng):
         x = rng.standard_normal((1, 8, 8, 8))
         p = random_params(rng)
-        o1, o2 = att.cross_modal_attention(x, x.copy(), p, p, 2, 4, 0, "qv")
+        o1, o2 = cross_modal(x, x.copy(), p, p, 2, 4, 0, "qv")
         want = self.plain_self_attention(x, p, 4, 0)
         assert np.abs(o1 - want).max() < 1e-12
         assert np.abs(o2 - want).max() < 1e-12
@@ -122,8 +128,8 @@ class TestCrossModalAttention:
         x1 = rng.standard_normal((1, 8, 8, 8))
         x2 = rng.standard_normal((1, 8, 8, 8))
         p1, p2 = random_params(rng), random_params(rng)
-        a1, a2 = att.cross_modal_attention(x1, x2, p1, p2, 2, 4, 0, "qv")
-        b1, b2 = att.cross_modal_attention(x2, x1, p2, p1, 2, 4, 0, "qv")
+        a1, a2 = cross_modal(x1, x2, p1, p2, 2, 4, 0, "qv")
+        b1, b2 = cross_modal(x2, x1, p2, p1, 2, 4, 0, "qv")
         assert np.array_equal(a1, b2) and np.array_equal(a2, b1)
 
     def test_zero_v2_zeroes_first_output(self, rng):
@@ -131,7 +137,7 @@ class TestCrossModalAttention:
         x2 = rng.standard_normal((1, 8, 8, 8))
         p1, p2 = random_params(rng), random_params(rng)
         p2 = (p2[0], p2[1], np.zeros((8, 8)), p2[3])
-        o1, o2 = att.cross_modal_attention(x1, x2, p1, p2, 2, 4, 0, route="qv")
+        o1, o2 = cross_modal(x1, x2, p1, p2, 2, 4, 0, route="qv")
         assert np.abs(o1).max() == 0.0
         assert np.abs(o2).max() > 0.0
 
@@ -145,7 +151,7 @@ class TestCrossModalAttention:
         x2 = rng.standard_normal((2, 8, 8, 12))
         for heads in (1, 2, 4):
             p1, p2 = random_params(rng), random_params(rng)
-            got = att.cross_modal_attention(x1, x2, p1, p2, heads, 4, shift, route)
+            got = cross_modal(x1, x2, p1, p2, heads, 4, shift, route)
             want = cross_modal_attention_naive(
                 x1, x2, oracle_params(p1, heads), oracle_params(p2, heads), 4, shift, route
             )
@@ -156,8 +162,8 @@ class TestCrossModalAttention:
         x1 = rng.standard_normal((1, 8, 8, 8))
         x2 = rng.standard_normal((1, 8, 8, 8))
         p1, p2 = random_params(rng), random_params(rng)
-        qv = att.cross_modal_attention(x1, x2, p1, p2, 2, 4, 0, route="qv")
-        k = att.cross_modal_attention(x1, x2, p1, p2, 2, 4, 0, route="k")
+        qv = cross_modal(x1, x2, p1, p2, 2, 4, 0, route="qv")
+        k = cross_modal(x1, x2, p1, p2, 2, 4, 0, route="k")
         assert np.array_equal(qv[0], k[1]) and np.array_equal(qv[1], k[0])
 
 

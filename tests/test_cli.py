@@ -2,6 +2,8 @@ import argparse
 import re
 import shlex
 import struct
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -176,6 +178,59 @@ class TestFuse:
         bad.write_bytes(v1 + struct.pack("<I", zlib.crc32(v1)))
         assert cli.main(["fuse", a, b, "--weights", str(bad), "-o", str(tmp / "x.pgm")]) == 3
         assert "init-weights" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+    def test_memory_check_under_address_space_limit(self, tmp_path):
+        # The child caps its own address space about 200 MiB above its size
+        # once numpy is loaded: a 512² default-config forward (about 584 MiB
+        # at its peak) is refused up front, and a 64² one still fuses.
+        pytest.importorskip("resource")
+        cfg = network.NetConfig()
+        wpath = str(tmp_path / "w.wfw")
+        network.save_weights(network.init_weights(cfg, 0), cfg, wpath)
+        child = (
+            "import os, resource, sys\n"
+            "import numpy\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from wavefuse import cli\n"
+            "with open('/proc/self/statm') as fh:\n"
+            "    size = int(fh.read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size + 200 * 2**20, hard))\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        g = np.random.default_rng(5)
+        runs = {}
+        for n in (512, 64):
+            a, b = (write_image(tmp_path / f"{m}{n}.pgm", g.uniform(0, 1, (n, n))) for m in "ab")
+            argv = ["fuse", a, b, "--weights", wpath, "-o", str(tmp_path / f"f{n}.pgm")]
+            runs[n] = subprocess.run(
+                [sys.executable, "-c", child, src, *argv], capture_output=True, text=True,
+                timeout=120,
+            )
+        assert runs[512].returncode == 2, runs[512].stderr
+        assert f"{network.peak_bytes(512, 512, cfg) / 2**20:.0f} MiB" in runs[512].stderr
+        assert not (tmp_path / "f512.pgm").exists()
+        assert runs[64].returncode == 0, runs[64].stderr
+        assert load_pnm(str(tmp_path / "f64.pgm")).shape == (64, 64)
+
+    def test_headroom_reads_the_cgroup_v2_limit(self, tmp_path, monkeypatch):
+        # /proc and /sys are faked under tmp_path; the process's own group is
+        # the "0::" line, and a memory.max of "max" means no limit there.
+        resource = pytest.importorskip("resource")
+        if resource.getrlimit(resource.RLIMIT_AS)[0] != resource.RLIM_INFINITY:
+            pytest.skip("an address-space limit takes precedence")
+        (tmp_path / "proc/self").mkdir(parents=True)
+        (tmp_path / "proc/self/cgroup").write_text("4:memory:/v1\n0::/jobs/one\n")
+        group = tmp_path / "sys/fs/cgroup/jobs/one"
+        group.mkdir(parents=True)
+        (group / "memory.max").write_text("1073741824\n")
+        (group / "memory.current").write_text("73741824\n")
+        monkeypatch.setattr(cli, "Path", lambda p: tmp_path / p.lstrip("/"))
+        assert cli._headroom() == 10**9
+        (group / "memory.max").write_text("max\n")
+        assert cli._headroom() != 10**9
 
 
 class TestFuseOpt:

@@ -313,17 +313,31 @@ class TestForward:
         with pytest.raises(FormatError, match=rf"{re.escape(name)} has non-finite"):
             net.forward(a, b, w, SMALL)
 
-    def test_peak_memory_64(self, rng):
-        cfg = net.NetConfig()
-        w = net.init_weights(cfg, 0)
-        a, b = rng.uniform(0, 1, (2, 64, 64))
+    @staticmethod
+    def traced_peak(a, b, w, cfg):
         tracemalloc.start()
         try:
             net.forward(a, b, w, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+
+    def test_peak_memory_64(self, rng):
+        cfg = net.NetConfig()
+        a, b = rng.uniform(0, 1, (2, 64, 64))
+        assert self.traced_peak(a, b, net.init_weights(cfg, 0), cfg) < 10 * 2**20
+
+    @pytest.mark.parametrize("h, wd, cfg", [
+        (64, 64, net.NetConfig()),
+        (256, 256, net.NetConfig()),
+        (100, 75, net.NetConfig()),
+        # a wide MLP moves the peak from the attention to the MLP
+        (100, 75, net.NetConfig(mlp_ratio=8, heads=1, window=4)),
+    ])
+    def test_peak_bytes_matches_traced_peak(self, rng, h, wd, cfg):
+        a, b = rng.uniform(0, 1, (2, h, wd))
+        peak = self.traced_peak(a, b, net.init_weights(cfg, 0), cfg)
+        assert abs(net.peak_bytes(h, wd, cfg) / peak - 1.0) <= 0.15
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
