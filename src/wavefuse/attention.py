@@ -106,8 +106,7 @@ def cross_modal_attention(tok1, tok2, w1, w2, heads, route):
     use the output projection of the modality that supplied Q/V. `route` is
     NetConfig.cross_route, which checks it.
     """
-    toks = (tok1, tok2)
-    ws = (w1, w2)
+    toks, ws = (tok1, tok2), (w1, w2)
     # outs[m]: Q, V and wo from modality m, K from the other one.
     outs = [
         mhsa(toks[m], toks[1 - m], toks[m], (ws[m][0], ws[1 - m][1], *ws[m][2:]), heads)

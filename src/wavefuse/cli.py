@@ -118,25 +118,34 @@ def _emit_color(fused_y, chroma, out_path):
     save_pnm(fused_y, out_path)
 
 
-def _headroom():
-    """Bytes this process can still allocate, or None: the soft address-space
-    rlimit less the address-space size, else the cgroup v2 memory.max less
-    memory.current, else the free physical memory; the first that is readable."""
-    if not hasattr(os, "sysconf"):  # Windows, which has no resource module either
-        return None
-    import resource
+def _fields(path):
+    """The "name value" lines of memory.stat or /proc/meminfo, as ints."""
+    return {k.rstrip(":"): int(v) for k, v, *_ in map(str.split, path.read_text().splitlines())}
 
-    page, soft = os.sysconf("SC_PAGE_SIZE"), resource.getrlimit(resource.RLIMIT_AS)[0]
+
+def _headroom():
+    """Bytes this process can still allocate, or None; the first readable of:
+    the soft address-space rlimit less the address-space size; the cgroup v2
+    memory.max less the group's use net of its reclaimable inactive file cache;
+    MemAvailable. Thread stacks and BLAS buffers are not in network.peak_bytes."""
     try:
+        import resource  # not on Windows
+
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
         if soft != resource.RLIM_INFINITY:
-            return soft - int(Path("/proc/self/statm").read_text().split()[0]) * page
+            size = int(Path("/proc/self/statm").read_text().split()[0])
+            return soft - size * os.sysconf("SC_PAGE_SIZE")
         groups = Path("/proc/self/cgroup").read_text().splitlines()
         cg = Path("/sys/fs/cgroup" + next(g[3:] for g in groups if g.startswith("0::")))
-        return int((cg / "memory.max").read_text()) - int((cg / "memory.current").read_text())
-    except (OSError, StopIteration, ValueError):  # no /proc, no v2 group, or no memory.max
-        pass
-    free = os.sysconf_names.get("SC_AVPHYS_PAGES")
-    return None if free is None else os.sysconf(free) * page
+        cache = _fields(cg / "memory.stat")["inactive_file"]
+        used = int((cg / "memory.current").read_text()) - cache
+        return int((cg / "memory.max").read_text()) - used
+    except (ImportError, OSError, StopIteration, ValueError, KeyError):
+        pass  # no statm, no v2 group, or a memory.max of "max"
+    try:
+        return _fields(Path("/proc/meminfo"))["MemAvailable"] * 1024
+    except (OSError, ValueError, KeyError):
+        return None
 
 
 def cmd_fuse(args):

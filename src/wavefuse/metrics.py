@@ -54,12 +54,6 @@ def _edge_strength(x):
     return np.sqrt(sx * sx + sy * sy), sx, sy
 
 
-def _edge_strength_orientation(x):
-    g, sx, sy = _edge_strength(x)
-    theta = np.where(sx == 0.0, np.pi / 2.0, np.arctan(np.divide(sy, np.where(sx == 0.0, 1.0, sx))))
-    return g, theta
-
-
 def _qabf_sigmoid(x, gamma, kappa, sigma):
     return gamma / (1.0 + np.exp(kappa * (x - sigma)))
 
@@ -86,9 +80,13 @@ def q_abf(a, b, f):
     score 1.
     """
     a, b, f = check_images(a, b, f)
-    ga, ta = _edge_strength_orientation(a)
-    gb, tb = _edge_strength_orientation(b)
-    gf, tf = _edge_strength_orientation(f)
+    feats = []
+    for x in (a, b, f):  # (strength, orientation) of each image
+        g, sx, sy = _edge_strength(x)
+        theta = np.arctan(np.divide(sy, np.where(sx == 0.0, 1.0, sx)))
+        feats.append((g, np.where(sx == 0.0, np.pi / 2.0, theta)))
+    del sx, sy, theta
+    (ga, ta), (gb, tb), (gf, tf) = feats
     qa = _preservation(ga, ta, gf, tf)
     qb = _preservation(gb, tb, gf, tf)
     denom = (ga + gb).sum()

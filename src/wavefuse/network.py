@@ -41,13 +41,10 @@ class NetConfig:
             if getattr(self, name) < 1:
                 raise ShapeError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.channels % self.heads:
-            raise ShapeError(
-                f"channels {self.channels} not divisible by heads {self.heads}"
-            )
+            raise ShapeError(f"channels {self.channels} not divisible by heads {self.heads}")
         if self.channels % self.reduction:
             raise ShapeError(
-                f"channels {self.channels} not divisible by reduction "
-                f"{self.reduction}"
+                f"channels {self.channels} not divisible by reduction {self.reduction}"
             )
         if self.cross_route not in ("qv", "k"):
             raise ValueError(f"unknown cross_route {self.cross_route!r}")
@@ -96,9 +93,7 @@ def validate_weights(weights, cfg):
         raise FormatError(f"missing weight names: {missing}")
     for name, shape in schema.items():
         if weights[name].shape != shape:
-            raise FormatError(
-                f"weight {name} has shape {weights[name].shape}, expected {shape}"
-            )
+            raise FormatError(f"weight {name} has shape {weights[name].shape}, expected {shape}")
         if not np.isfinite(weights[name]).all():
             raise FormatError(f"weight {name} has non-finite values")
 
@@ -110,16 +105,10 @@ def init_weights(cfg, seed):
     for name, shape in sorted(weight_schema(cfg).items()):
         if name.endswith(".gain"):
             weights[name] = np.ones(shape)
-        elif name.endswith(".shift"):
-            weights[name] = np.zeros(shape)
-        elif name.endswith(("bias", ".sa_b", ".b1", ".b2")):
+        elif name.endswith((".shift", "bias", ".sa_b", ".b1", ".b2")):
             weights[name] = np.zeros(shape)
         else:
-            if len(shape) == 4:
-                fan_in = shape[1] * shape[2] * shape[3]
-            else:
-                fan_in = shape[1]
-            bound = 1.0 / np.sqrt(fan_in)
+            bound = 1.0 / np.sqrt(math.prod(shape[1:]))  # 1 / sqrt(fan_in)
             weights[name] = rng.uniform(-bound, bound, size=shape)
     return weights
 
@@ -127,21 +116,15 @@ def init_weights(cfg, seed):
 def zero_weights(cfg):
     """All-zero parameters except unit layer-norm gains; makes every enhance
     block the exact identity on its input (the residual-only path)."""
-    weights = {}
-    for name, shape in weight_schema(cfg).items():
-        if name.endswith(".gain"):
-            weights[name] = np.ones(shape)
-        else:
-            weights[name] = np.zeros(shape)
-    return weights
+    schema = weight_schema(cfg).items()
+    return {n: np.ones(s) if n.endswith(".gain") else np.zeros(s) for n, s in schema}
 
 
 def feature_extract(x, weights, branch):
     """Three 3x3 convs (1 -> C -> C -> C), Leaky-ReLU after each."""
     for layer in (1, 2, 3):
-        x = T.conv2d(
-            x, weights[f"fe{branch}.{layer}.weight"], weights[f"fe{branch}.{layer}.bias"]
-        )
+        p = f"fe{branch}.{layer}"
+        x = T.conv2d(x, weights[f"{p}.weight"], weights[f"{p}.bias"])
         x = T.leaky_relu(x, SLOPE)
     return x
 

@@ -1,4 +1,5 @@
 import argparse
+import os
 import re
 import shlex
 import struct
@@ -181,9 +182,10 @@ class TestFuse:
 
     @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
     def test_memory_check_under_address_space_limit(self, tmp_path):
-        # The child caps its own address space about 200 MiB above its size
-        # once numpy is loaded: a 512² default-config forward (about 584 MiB
-        # at its peak) is refused up front, and a 64² one still fuses.
+        # Once numpy is loaded, the child caps its own address space halfway
+        # between the 64² and 512² default-config estimates: the 512² forward
+        # is refused up front and the 64² one still fuses. One BLAS thread
+        # keeps the untracked per-thread buffers small on any core count.
         pytest.importorskip("resource")
         cfg = network.NetConfig()
         wpath = str(tmp_path / "w.wfw")
@@ -196,18 +198,20 @@ class TestFuse:
             "with open('/proc/self/statm') as fh:\n"
             "    size = int(fh.read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
             "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (size + 200 * 2**20, hard))\n"
-            "sys.exit(cli.main(sys.argv[2:]))\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[2]), hard))\n"
+            "sys.exit(cli.main(sys.argv[3:]))\n"
         )
         src = str(Path(cli.__file__).resolve().parent.parent)
+        extra = (network.peak_bytes(64, 64, cfg) + network.peak_bytes(512, 512, cfg)) // 2
+        env = {**os.environ, **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1")}
         g = np.random.default_rng(5)
         runs = {}
         for n in (512, 64):
             a, b = (write_image(tmp_path / f"{m}{n}.pgm", g.uniform(0, 1, (n, n))) for m in "ab")
             argv = ["fuse", a, b, "--weights", wpath, "-o", str(tmp_path / f"f{n}.pgm")]
             runs[n] = subprocess.run(
-                [sys.executable, "-c", child, src, *argv], capture_output=True, text=True,
-                timeout=120,
+                [sys.executable, "-c", child, src, str(extra), *argv], capture_output=True,
+                text=True, timeout=120, env=env,
             )
         assert runs[512].returncode == 2, runs[512].stderr
         assert f"{network.peak_bytes(512, 512, cfg) / 2**20:.0f} MiB" in runs[512].stderr
@@ -215,9 +219,10 @@ class TestFuse:
         assert runs[64].returncode == 0, runs[64].stderr
         assert load_pnm(str(tmp_path / "f64.pgm")).shape == (64, 64)
 
-    def test_headroom_reads_the_cgroup_v2_limit(self, tmp_path, monkeypatch):
-        # /proc and /sys are faked under tmp_path; the process's own group is
-        # the "0::" line, and a memory.max of "max" means no limit there.
+    @pytest.fixture
+    def fake_proc(self, tmp_path, monkeypatch):
+        """/proc and /sys faked under tmp_path for cli._headroom; the process's
+        own cgroup v2 group is the "0::" line. Returns that group's directory."""
         resource = pytest.importorskip("resource")
         if resource.getrlimit(resource.RLIMIT_AS)[0] != resource.RLIM_INFINITY:
             pytest.skip("an address-space limit takes precedence")
@@ -227,10 +232,37 @@ class TestFuse:
         group.mkdir(parents=True)
         (group / "memory.max").write_text("1073741824\n")
         (group / "memory.current").write_text("73741824\n")
+        (group / "memory.stat").write_text("anon 70000000\ninactive_file 0\nactive_file 9\n")
         monkeypatch.setattr(cli, "Path", lambda p: tmp_path / p.lstrip("/"))
+        return group
+
+    def test_headroom_reads_the_cgroup_v2_limit(self, fake_proc):
         assert cli._headroom() == 10**9
-        (group / "memory.max").write_text("max\n")
-        assert cli._headroom() != 10**9
+        (fake_proc / "memory.stat").write_text("anon 1\ninactive_file 26258176\n")
+        assert cli._headroom() == 10**9 + 26258176
+
+    def test_headroom_falls_back_to_mem_available(self, fake_proc, tmp_path):
+        # A memory.max of "max" is no limit: MemAvailable, in kB, is the room.
+        (fake_proc / "memory.max").write_text("max\n")
+        (tmp_path / "proc/meminfo").write_text(
+            "MemTotal:       16384000 kB\nMemFree:          100000 kB\n"
+            "MemAvailable:    2048000 kB\nHugePages_Total:       0\n"
+        )
+        assert cli._headroom() == 2048000 * 1024
+        (tmp_path / "proc/meminfo").unlink()
+        assert cli._headroom() is None
+
+    def test_fuse_counts_reclaimable_file_cache_as_free(self, images, weights_path, fake_proc):
+        # The group is 64 KiB short of memory.max, far below the small pair's
+        # estimate, but the kernel reclaims its inactive file cache first.
+        a, b, tmp = images
+        (fake_proc / "memory.current").write_text(f"{2**30 - 2**16}\n")
+        argv = ["fuse", a, b, "--weights", weights_path, "-o", str(tmp / "f.pgm")]
+        assert cli.main(argv) == 2
+        assert not (tmp / "f.pgm").exists()
+        (fake_proc / "memory.stat").write_text("anon 1000\ninactive_file 900000000\n")
+        assert cli.main(argv) == 0
+        assert load_pnm(str(tmp / "f.pgm")).shape == (32, 32)
 
 
 class TestFuseOpt:
