@@ -4,69 +4,48 @@ channel/spatial gating used to recombine frequency bands.
 Shifted windows use a cyclic roll with full attention inside each window;
 there is no masking and no positional bias.
 
-network.forward checks the images, NetConfig and weights once; the layers
-below it trust their arguments and do not check shapes, routes or heads again.
+network.forward checks the images, NetConfig and weights once, and
+enhance_block pads every band to a multiple of the window; the layers below
+it, window_partition included, trust their arguments and check no shape,
+window, shift, route or head count again.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeError
-from .tensor import as_tensor, conv2d, sigmoid, softmax_rows
+from .tensor import conv2d, sigmoid, softmax_rows
 
 
 @dataclass(frozen=True)
 class WindowTokens:
-    """Token matrices (num_windows*B, w*w, C) plus the tiling metadata needed
-    to invert the partition."""
+    """Token matrices (num_windows*B, w*w, C) with what window_merge needs to
+    untile them: the window size, the shift and the (B, C, H, W) shape."""
 
     tokens: np.ndarray
     window: int
     shift: int
-    batch: int
-    channels: int
-    height: int
-    width: int
+    shape: tuple
 
 
 def window_partition(x, w, shift):
-    """Tile a (B, C, H, W) tensor into non-overlapping w x w windows.
+    """Tile a float64 (B, C, H, W) tensor into non-overlapping w x w windows.
 
-    shift must be 0 or w//2; the shifted variant rolls the tensor by
-    (-shift, -shift) before tiling.
+    H and W are multiples of w (enhance_block pads them so), and shift is 0 or
+    w//2; the shifted variant rolls the tensor by (-shift, -shift) first.
     """
-    x = as_tensor(x)
     b, c, h, ww = x.shape
-    if w <= 0 or w > min(h, ww):
-        raise ShapeError(f"window {w} invalid for spatial dims {h}x{ww}")
-    if shift not in (0, w // 2):
-        raise ShapeError(f"shift must be 0 or {w // 2}, got {shift}")
-    if h % w or ww % w:
-        raise ShapeError(f"window {w} must divide spatial dims {h}x{ww}")
     if shift:
         x = np.roll(x, (-shift, -shift), axis=(2, 3))
-    nh, nw = h // w, ww // w
-    t = x.reshape(b, c, nh, w, nw, w)
-    t = t.transpose(0, 2, 4, 3, 5, 1).reshape(b * nh * nw, w * w, c)
-    return WindowTokens(
-        tokens=np.ascontiguousarray(t),
-        window=w,
-        shift=shift,
-        batch=b,
-        channels=c,
-        height=h,
-        width=ww,
-    )
+    t = x.reshape(b, c, h // w, w, ww // w, w).transpose(0, 2, 4, 3, 5, 1)
+    return WindowTokens(np.ascontiguousarray(t.reshape(-1, w * w, c)), w, shift, x.shape)
 
 
 def window_merge(tok):
     """Exact inverse of window_partition."""
-    w = tok.window
-    b, c, h, ww = tok.batch, tok.channels, tok.height, tok.width
-    nh, nw = h // w, ww // w
-    t = tok.tokens.reshape(b, nh, nw, w, w, c).transpose(0, 5, 1, 3, 2, 4)
-    x = t.reshape(b, c, h, ww)
+    w, (b, c, h, ww) = tok.window, tok.shape
+    t = tok.tokens.reshape(b, h // w, ww // w, w, w, c).transpose(0, 5, 1, 3, 2, 4)
+    x = t.reshape(tok.shape)
     if tok.shift:
         x = np.roll(x, (tok.shift, tok.shift), axis=(2, 3))
     return np.ascontiguousarray(x)

@@ -105,12 +105,9 @@ def _correlate_adjoint(g, taps, axis):
 def _by_strips(fn, x, halo):
     """Run fn(strip, out) over strips of x, writing one output array. fn is
     row-local: output row i reads input rows i to i + halo, and has halo fewer
-    columns. Each row is computed as in one pass over x, so the bits agree.
-    An x of one strip takes that pass: fn(x, None) returns a new array."""
+    columns. Each row is computed as in one pass over x, so the bits agree."""
     n = x.shape[0] - halo
     rows = max(1, _STRIP_BYTES // x[0].nbytes)
-    if n <= rows:
-        return fn(x, None)
     out = np.empty((n, x.shape[1] - halo), x.dtype)
     for i in range(0, n, rows):
         fn(x[i : i + rows + halo], out[i : i + rows])

@@ -113,13 +113,6 @@ def init_weights(cfg, seed):
     return weights
 
 
-def zero_weights(cfg):
-    """All-zero parameters except unit layer-norm gains; makes every enhance
-    block the exact identity on its input (the residual-only path)."""
-    schema = weight_schema(cfg).items()
-    return {n: np.ones(s) if n.endswith(".gain") else np.zeros(s) for n, s in schema}
-
-
 def feature_extract(x, weights, branch):
     """Three 3x3 convs (1 -> C -> C -> C), Leaky-ReLU after each."""
     for layer in (1, 2, 3):
@@ -198,13 +191,13 @@ def peak_bytes(h, w, cfg):
     the second high-band logits: padded input copies if any (2C), detail tokens
     (1.5C), low-band outputs (0.5C), first stream's output (0.75C), q and k
     (1.5C), logits (0.75 heads window²). In the second token MLP: the first
-    output and fprime (2C), and the hidden layer and two copies (3 mlp_ratio C)."""
+    output and fprime (2C), and the hidden layer and one copy (2 mlp_ratio C)."""
     mult = 2 * cfg.window
     padded = math.ceil(h / mult) * mult * math.ceil(w / mult) * mult
     c = cfg.channels
     copies = 2 * c * padded if padded != h * w else 0
     attention = c * (1.5 + 0.5 + 0.75 + 1.5) + 0.75 * cfg.heads * cfg.window**2
-    mlp = c * (2 + 3 * cfg.mlp_ratio)
+    mlp = c * (2 + 2 * cfg.mlp_ratio)
     return int(8 * (2 * c * h * w + max(copies + padded * attention, padded * mlp)))
 
 

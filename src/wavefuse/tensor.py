@@ -14,34 +14,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import ShapeError
-
-
-def as_tensor(x):
-    """Coerce to a float64 (B, C, H, W) array, validating rank."""
-    a = np.ascontiguousarray(x, dtype=np.float64)
-    if a.ndim != 4:
-        raise ShapeError(f"expected rank-4 (B,C,H,W) array, got shape {a.shape}")
-    return a
-
 
 def conv2d(x, kernel, bias):
-    """Cross-correlation with zero padding. kernel is (Cout, Cin, k, k), k odd;
-    the (k-1)//2 padding preserves the spatial size."""
-    x = as_tensor(x)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if kernel.ndim != 4 or kernel.shape[2] != kernel.shape[3]:
-        raise ShapeError(f"kernel must be (Cout,Cin,k,k), got {kernel.shape}")
-    cout, cin, k, _ = kernel.shape
-    if k % 2 == 0:
-        raise ShapeError(f"kernel size must be odd, got {k}")
-    if x.shape[1] != cin:
-        raise ShapeError(
-            f"input channels {x.shape} do not match kernel {kernel.shape}"
-        )
-    if bias.shape != (cout,):
-        raise ShapeError(f"bias shape {bias.shape} does not match Cout {cout}")
+    """Cross-correlation with zero padding of a float64 (B, Cin, H, W) tensor.
+    kernel is (Cout, Cin, k, k), k odd, and bias (Cout,); the (k-1)//2 padding
+    preserves the spatial size. Shapes are the caller's to match (forward's
+    weight schema does), so none is checked here."""
+    cout, _, k, _ = kernel.shape
     b, _, h, w = x.shape
     pad = (k - 1) // 2
     # One (B*H*W, Cin) @ (Cin, Cout) product per tap on a channels-last copy;
@@ -106,7 +85,9 @@ def layer_norm(x, gain, shift, eps=1e-5):
 
 
 def leaky_relu(x, slope):
-    return np.maximum(x, slope * x)
+    """max(x, slope * x), written into the slope * x temporary."""
+    t = np.multiply(slope, x, out=np.empty(np.shape(x)))
+    return np.maximum(x, t, out=t)
 
 
 def sigmoid(x):

@@ -13,7 +13,6 @@ import struct
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .tensor import as_tensor
 
 BANDS_MAGIC = b"WBN1"
 
@@ -22,7 +21,9 @@ def dwt2(x):
     """Haar analysis of a (B, C, H, W) tensor into a (4, B, C, H/2, W/2) array
     of its LL, LH, HL, HH bands. Requires even H and W; odd inputs must be
     reflection-padded by the caller before decomposition."""
-    x = as_tensor(x)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 4:
+        raise ShapeError(f"expected rank-4 (B,C,H,W) array, got shape {x.shape}")
     _, _, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(

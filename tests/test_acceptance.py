@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import smooth_image
+from conftest import smooth_image, zero_weights
 from oracles import fmi_naive, forward_naive, qabf_naive, qw_naive
 from wavefuse import cli, network, wavelet
 from wavefuse.attention import (
@@ -83,7 +83,7 @@ def test_criterion_02_attention_invariants():
 def test_criterion_03_zero_weight_identity():
     started = time.perf_counter()
     cfg = network.NetConfig()
-    w = network.zero_weights(cfg)
+    w = zero_weights(cfg)
     g = np.random.default_rng(1)
     f1 = g.standard_normal((1, cfg.channels, 32, 32))
     f2 = g.standard_normal((1, cfg.channels, 32, 32))

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import zero_weights
 from oracles import enhance_block_naive, forward_naive
 from wavefuse.errors import FormatError, ShapeError
 from wavefuse import network as net
@@ -134,14 +135,14 @@ class TestInit:
 
 class TestFeatureExtract:
     def test_zero_weights_zero_features(self, rng):
-        w = net.zero_weights(SMALL)
+        w = zero_weights(SMALL)
         img = rng.uniform(0, 1, (1, 1, 8, 8))
         out = net.feature_extract(img, w, 1)
         assert out.shape == (1, 8, 8, 8)
         assert np.abs(out).max() == 0.0
 
     def test_bias_propagates(self, rng):
-        w = net.zero_weights(SMALL)
+        w = zero_weights(SMALL)
         w["fe1.3.bias"] = np.full(8, -2.0)
         out = net.feature_extract(rng.uniform(0, 1, (1, 1, 4, 4)), w, 1)
         # final leaky(0.1) maps -2 to -0.2 everywhere
@@ -150,7 +151,7 @@ class TestFeatureExtract:
 
 class TestEnhanceBlock:
     def test_zero_weights_exact_identity(self, rng):
-        w = net.zero_weights(SMALL)
+        w = zero_weights(SMALL)
         f1 = rng.standard_normal((1, 8, 8, 8))
         f2 = rng.standard_normal((1, 8, 8, 8))
         o1, o2 = net.enhance_block(f1, f2, 0, w, SMALL)
@@ -158,7 +159,7 @@ class TestEnhanceBlock:
         assert np.abs(o2 - f2).max() == 0.0
 
     def test_zero_weights_identity_odd_size(self, rng):
-        w = net.zero_weights(SMALL)
+        w = zero_weights(SMALL)
         f1 = rng.standard_normal((1, 8, 11, 13))
         f2 = rng.standard_normal((1, 8, 11, 13))
         o1, o2 = net.enhance_block(f1, f2, 1, w, SMALL)
@@ -246,7 +247,7 @@ class TestForward:
     def test_output_clamped_to_unit_range(self, rng):
         # zero weights make the fused image the head's last bias everywhere
         a, b = rng.uniform(0, 1, (2, 9, 11))
-        w = net.zero_weights(SMALL)
+        w = zero_weights(SMALL)
         for bias, want in ((1.3, 1.0), (-0.2, 0.0), (0.4, 0.4)):
             w["fuse.3.bias"] = np.full(1, bias)
             assert np.array_equal(net.forward(a, b, w, SMALL), np.full((9, 11), want))
@@ -333,6 +334,7 @@ class TestForward:
         (100, 75, net.NetConfig()),
         # a wide MLP moves the peak from the attention to the MLP
         (100, 75, net.NetConfig(mlp_ratio=8, heads=1, window=4)),
+        (64, 64, net.NetConfig(mlp_ratio=8)),
     ])
     def test_peak_bytes_matches_traced_peak(self, rng, h, wd, cfg):
         a, b = rng.uniform(0, 1, (2, h, wd))
@@ -388,7 +390,7 @@ class TestSerialization:
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "w.wfw"
-        net.save_weights(net.zero_weights(SMALL), SMALL, path)
+        net.save_weights(zero_weights(SMALL), SMALL, path)
         data = bytearray(path.read_bytes())
         data[:4] = b"NOPE"
         path.write_bytes(bytes(data))

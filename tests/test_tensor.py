@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from oracles import conv2d_naive, layer_norm_naive
 from wavefuse import tensor as T
-from wavefuse.errors import ShapeError
 
 
 class TestConv2d:
@@ -60,12 +59,6 @@ class TestConv2d:
         lhs = T.conv2d(2.0 * x + 3.0 * y, k, zero_b)
         rhs = 2.0 * T.conv2d(x, k, zero_b) + 3.0 * T.conv2d(y, k, zero_b)
         assert np.abs(lhs - rhs).max() < 1e-9
-
-    def test_channel_mismatch_names_shapes(self, rng):
-        x = rng.standard_normal((1, 2, 4, 4))
-        k = rng.standard_normal((1, 3, 3, 3))
-        with pytest.raises(ShapeError, match=r"\(1, 2, 4, 4\)"):
-            T.conv2d(x, k, np.zeros(1))
 
 
 class TestSoftmax:
@@ -194,7 +187,9 @@ class TestPoolAndElementwise:
         # the same bits as the two-branch definition, on every special value
         tiny = np.finfo(np.float64).smallest_subnormal
         x = np.array([0.0, -0.0, tiny, -tiny, np.inf, -np.inf, np.nan, -3.5, 3.5])
+        before = x.copy()
         got = T.leaky_relu(x, 0.1)
+        assert np.array_equal(x, before, equal_nan=True)  # the input is not written
         want = np.where(x >= 0.0, x, 0.1 * x)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
