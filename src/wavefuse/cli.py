@@ -2,7 +2,8 @@
 gradcheck, init-weights.
 
 Exit codes: 0 success, 2 input/validation error or too little memory for fuse,
-3 weights/format error, 4 internal invariant violation.
+fuse-opt, metrics or analyze-bands, 3 weights/format error, 4 internal
+invariant violation.
 """
 
 import argparse
@@ -41,8 +42,11 @@ def _load_pair(args):
 
 
 def _load_triple(args):
-    """The lumas of the two sources and the fused image."""
-    return (_load_luma(path)[0] for path in (args.input_a, args.input_b, args.fused))
+    """The lumas of the two sources and the fused image, once the memory check
+    of metrics and analyze-bands passes."""
+    images = [_load_luma(path)[0] for path in (args.input_a, args.input_b, args.fused)]
+    _check_memory("scoring", images[0].shape, metrics.peak_bytes(*images[0].shape))
+    return images
 
 
 def smooth_image(rng, size=32):
@@ -124,39 +128,50 @@ def _fields(path):
 
 
 def _headroom():
-    """Bytes this process can still allocate, or None; the first readable of:
+    """Bytes this process can still allocate, or None: the smallest readable of
     the soft address-space rlimit less the address-space size; the cgroup v2
     memory.max less the group's use net of its reclaimable inactive file cache;
-    MemAvailable. Thread stacks and BLAS buffers are not in network.peak_bytes."""
+    MemAvailable. Thread stacks and BLAS buffers are not in the estimates."""
+    rooms = []
     try:
         import resource  # not on Windows
 
         soft = resource.getrlimit(resource.RLIMIT_AS)[0]
         if soft != resource.RLIM_INFINITY:
             size = int(Path("/proc/self/statm").read_text().split()[0])
-            return soft - size * os.sysconf("SC_PAGE_SIZE")
+            rooms.append(soft - size * os.sysconf("SC_PAGE_SIZE"))
+    except (ImportError, OSError, ValueError):
+        pass  # no resource module or no statm
+    try:
         groups = Path("/proc/self/cgroup").read_text().splitlines()
         cg = Path("/sys/fs/cgroup" + next(g[3:] for g in groups if g.startswith("0::")))
         cache = _fields(cg / "memory.stat")["inactive_file"]
         used = int((cg / "memory.current").read_text()) - cache
-        return int((cg / "memory.max").read_text()) - used
-    except (ImportError, OSError, StopIteration, ValueError, KeyError):
-        pass  # no statm, no v2 group, or a memory.max of "max"
+        rooms.append(int((cg / "memory.max").read_text()) - used)
+    except (OSError, StopIteration, ValueError, KeyError):
+        pass  # no v2 group, or a memory.max of "max"
     try:
-        return _fields(Path("/proc/meminfo"))["MemAvailable"] * 1024
+        rooms.append(_fields(Path("/proc/meminfo"))["MemAvailable"] * 1024)
     except (OSError, ValueError, KeyError):
-        return None
+        pass
+    return min(rooms, default=None)
+
+
+def _check_memory(verb, shape, need):
+    """Refuse, as an input error, a job whose estimated peak of `need` bytes
+    exceeds what this process can still allocate."""
+    room = _headroom()
+    if room is not None and need > room:
+        raise ValueError(
+            f"{verb} {shape[0]}x{shape[1]} needs about {need / 2**20:.0f} MiB, more than "
+            f"the {room / 2**20:.0f} MiB this process can still allocate"
+        )
 
 
 def cmd_fuse(args):
     ya, yb, chroma = _load_pair(args)
     weights, cfg = network.load_weights(args.weights)
-    need, room = network.peak_bytes(*ya.shape, cfg), _headroom()
-    if room is not None and need > room:
-        raise ValueError(
-            f"fusing {ya.shape[0]}x{ya.shape[1]} needs about {need / 2**20:.0f} MiB, more than "
-            f"the {room / 2**20:.0f} MiB this process can still allocate"
-        )
+    _check_memory("fusing", ya.shape, network.peak_bytes(*ya.shape, cfg))
     _emit_color(network.forward(ya, yb, weights, cfg), chroma, args.output)
     return EXIT_OK
 
@@ -164,6 +179,7 @@ def cmd_fuse(args):
 def cmd_fuse_opt(args):
     ya, yb, chroma = _load_pair(args)
     cfg = _from_args(fusionopt.OptConfig, args, weights=_from_args(losses.LossWeights, args))
+    _check_memory("optimizing", ya.shape, fusionopt.peak_bytes(*ya.shape))
     fused, trace = fusionopt.optimize(ya, yb, cfg)
     _emit_color(fused, chroma, args.output)
     if args.trace:

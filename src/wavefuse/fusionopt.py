@@ -48,6 +48,17 @@ class OptTrace:
         return "\n".join(lines) + "\n"
 
 
+def peak_bytes(h, w):
+    """Estimated peak bytes optimize allocates on an h x w pair: 16 images,
+    met in the second SSIM term's partials during a line search. optimize
+    holds the fused image, its gradient and the candidate; loss_total its
+    running gradient sum; loss_ssim the first SSIM term's gradient; and
+    _ssim_value_grad the two window means, the four SSIM factors, d_mu, d_var
+    and d_cov's three temporaries. On arrays over 256 KiB numpy reuses one of
+    those temporaries in place, so the true peak is one image lower."""
+    return 16 * 8 * h * w
+
+
 def optimize(a, b, cfg=OptConfig()):
     """Minimize the fusion loss over the pixels of the fused image.
 
@@ -82,11 +93,13 @@ def optimize(a, b, cfg=OptConfig()):
                 )
             if cand_report.total <= report.total:
                 break
+            del cand_report  # a rejected candidate's gradient is never read
             step /= 2.0
         else:
             stop = "converged"
             break
         prev_total = report.total
+        report.grad = None  # no later step reads a spent base's gradient
         f, report = cand, cand_report
         reports.append(report)
         if prev_total == 0.0 or (

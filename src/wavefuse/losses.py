@@ -46,7 +46,7 @@ class LossWeights:
                 raise ValueError(f"loss weight {name} must be >= 0 and finite")
 
 
-@dataclass(frozen=True)
+@dataclass
 class LossReport:
     total: float
     l_int: float
@@ -186,16 +186,19 @@ def gaussian_window(size=SSIM_WINDOW, sigma=SSIM_SIGMA):
 
 
 def _ssim_terms(x, y, g):
-    """Window means of x and y and the factors of the SSIM map a1*a2 / (b1*b2)."""
+    """Window means of x and y and the factors of the SSIM map a1*a2 / (b1*b2).
+    The variances and the covariance are dropped once their factor exists."""
     mu_x = filt(x, g)
     mu_y = filt(y, g)
     var_x = filt(x * x, g) - mu_x**2
     var_y = filt(y * y, g) - mu_y**2
-    cov = filt(x * y, g) - mu_x * mu_y
-    a1 = 2.0 * mu_x * mu_y + SSIM_C1
-    a2 = 2.0 * cov + SSIM_C2
-    b1 = mu_x**2 + mu_y**2 + SSIM_C1
     b2 = var_x + var_y + SSIM_C2
+    del var_x, var_y
+    cov = filt(x * y, g) - mu_x * mu_y
+    a2 = 2.0 * cov + SSIM_C2
+    del cov
+    a1 = 2.0 * mu_x * mu_y + SSIM_C1
+    b1 = mu_x**2 + mu_y**2 + SSIM_C1
     return mu_x, mu_y, a1, a2, b1, b2
 
 
@@ -222,13 +225,17 @@ def _ssim_value_grad(f, a):
     d_mu = 2.0 * mu_a * a2 / (b1 * b2) - 2.0 * mu_f * a1 * a2 / (b1**2 * b2)
     d_var = -a1 * a2 / (b1 * b2**2)
     d_cov = 2.0 * a1 / (b1 * b2)
-    # mu_f, var_f and cov all depend on f; fold each chain through the window.
+    del a1, a2, b1, b2
+    # mu_f, var_f and cov all depend on f; fold each chain through the window,
+    # summing in place in the order (up_mu + var + cov) / n.
     up_mu = d_mu - 2.0 * mu_f * d_var - mu_a * d_cov
-    grad = (
-        filt_adjoint(up_mu, g)
-        + 2.0 * f * filt_adjoint(d_var, g)
-        + a * filt_adjoint(d_cov, g)
-    ) / n
+    del d_mu, mu_f, mu_a
+    grad = filt_adjoint(up_mu, g)
+    del up_mu
+    grad += 2.0 * f * filt_adjoint(d_var, g)
+    del d_var
+    grad += a * filt_adjoint(d_cov, g)
+    grad /= n
     return value, grad
 
 
@@ -243,20 +250,22 @@ def loss_ssim(f, a, b, gamma1=0.5, gamma2=0.5):
 
 
 def loss_total(f, a, b, w=LossWeights(), with_grad=True):
-    """Weighted sum of the three terms; grad is d(total)/d(fused image)."""
-    l_int, g_int = loss_intensity(f, a, b, w.alpha1, w.alpha2)
-    l_text, g_text = loss_texture(f, a, b)
-    l_ssim, g_ssim = loss_ssim(f, a, b, w.gamma1, w.gamma2)
+    """Weighted sum of the three terms; grad is d(total)/d(fused image),
+    summed in place as each term's gradient arrives."""
+    l_int, grad = loss_intensity(f, a, b, w.alpha1, w.alpha2)
+    grad *= w.alpha
+    l_text, g = loss_texture(f, a, b)
+    grad += w.beta * g
+    del g
+    l_ssim, g = loss_ssim(f, a, b, w.gamma1, w.gamma2)
+    grad += w.gamma * g
     total = w.alpha * l_int + w.beta * l_text + w.gamma * l_ssim
-    grad = None
-    if with_grad:
-        grad = w.alpha * g_int + w.beta * g_text + w.gamma * g_ssim
     return LossReport(
         total=float(total),
         l_int=float(l_int),
         l_text=float(l_text),
         l_ssim=float(l_ssim),
-        grad=grad,
+        grad=grad if with_grad else None,
     )
 
 

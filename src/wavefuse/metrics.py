@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .imageio import check_images
-from .losses import SOBEL_X, SOBEL_Y, _sliding, filt, ssim
+from .losses import _STRIP_BYTES, SOBEL_X, SOBEL_Y, _sliding, filt, ssim
 from .wavelet import dwt2
 
 QABF_GAMMA_G = 0.9994
@@ -210,6 +210,23 @@ def score(a, b, f):
         q_w=q_w(a, b, f),
         fmi=fmi(a, b, f),
     )
+
+
+def peak_bytes(h, w):
+    """Estimated peak bytes score allocates on an h x w triple, the largest of
+    three stages; band_correlation_study stays under it (30 B/px at 512²).
+    Q_w's second Q0: the six window statistics, Q0 of a, cov, den, num and two
+    masks on (h - 7) x (w - 7) windows, then |x - y|, its window maxima and
+    one row strip of the sliding maximum. Q_abf's second preservation map: the
+    six edge features, the first map, and ratio, align, qg, qt and their
+    product. FMI's second entropy: the three edge features, two bin indices,
+    the joint histogram and its normalisation (256² each), and three arrays
+    of at most one entry per pixel over the nonzero bins."""
+    n, v = h * w, (h - QW_WINDOW + 1) * (w - QW_WINDOW + 1)
+    strip = w * min(max(1, _STRIP_BYTES // (8 * w)), h - QW_WINDOW + 1)
+    q_w_peak = 10 * v + 2 * v / 8 + n + v + strip
+    fmi_peak = 5 * n + 2 * FMI_BINS**2 + 3 * min(n, FMI_BINS**2)
+    return int(8 * max(q_w_peak, 12 * n, fmi_peak))
 
 
 _BANDS = ("ll", "lh", "hl", "hh")

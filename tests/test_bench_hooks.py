@@ -3,7 +3,9 @@ name: mhsa's q_src, conv2d's x and kernel, softmax_rows' m and enhance_block's
 f1 and cfg. A signature change that renames one of them breaks the traced
 benchmark run; this test runs the same hooks on one small forward. The traced
 score workload asserts exact span counts, which a new public helper would
-change; the second test counts them on a small triple."""
+change; the second test counts them on a small triple. The optimizer counts
+tell step bases from rejected candidates by the identity of the reports
+loss_total returned; the third test holds optimize to that."""
 
 import importlib
 import sys
@@ -15,7 +17,7 @@ import layers  # noqa: E402
 import spans  # noqa: E402
 import wavefuse  # noqa: E402
 import workloads  # noqa: E402
-from wavefuse import metrics, network  # noqa: E402
+from wavefuse import fusionopt, metrics, network  # noqa: E402
 
 
 def test_traced_forward_feeds_every_counter(rng):
@@ -49,3 +51,22 @@ def test_traced_score_span_counts(rng):
     # filts per image in q_abf and in fmi, 122 filts in all.
     for name, want in workloads.Score.EXPECTED_CALLS.items():
         assert tracer.get(name).calls == want, name
+
+
+def test_optimize_keeps_the_reports_loss_total_returned(rng):
+    # A step of 2 makes the line search reject candidates as well. The trace
+    # holds the very reports loss_total returned, each spent one without its
+    # gradient; a copy would skew the benchmark's unused_grads silently.
+    modules = {m: importlib.import_module(f"wavefuse.{m}") for m in layers.MODULES}
+    a, b = rng.uniform(0, 1, (2, 32, 32))
+    tracer = spans.Tracer()
+    with spans.instrument(
+        tracer, modules, [wavefuse, *modules.values()], keep_results=("losses.loss_total",)
+    ):
+        _, trace = fusionopt.optimize(a, b, fusionopt.OptConfig(max_iters=10, step=2.0))
+    results = tracer.results["losses.loss_total"]
+    assert all(any(r is kept for kept in results) for r in trace.reports)
+    assert [r.grad is not None for r in trace.reports] == [False] * trace.iterations + [True]
+    counts = layers.optimizer_counts(results, trace)
+    assert counts["loss_evals"] == len(results) > len(trace.reports)
+    assert counts["unused_grads"] == len(results) - trace.iterations

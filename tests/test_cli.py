@@ -5,6 +5,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import smooth_image
-from wavefuse import cli, network, wavelet
+from wavefuse import cli, fusionopt, metrics, network, wavelet
 from wavefuse.errors import FormatError
 from wavefuse.imageio import load_pnm, rgb_to_ycbcr, save_pnm, ycbcr_to_rgb
 from wavefuse.wavelet import dwt2
@@ -252,6 +253,16 @@ class TestFuse:
         (tmp_path / "proc/meminfo").unlink()
         assert cli._headroom() is None
 
+    def test_headroom_is_the_smallest_limit(self, fake_proc, tmp_path, monkeypatch):
+        # A soft address-space limit a launcher set high must not hide a
+        # tighter cgroup memory.max; without that limit, the rlimit is the room.
+        resource = pytest.importorskip("resource")
+        (tmp_path / "proc/self/statm").write_text("25600 100 50 1 0 200 0\n")
+        monkeypatch.setattr(resource, "getrlimit", lambda _: (100 * 2**30, resource.RLIM_INFINITY))
+        assert cli._headroom() == 10**9
+        (fake_proc / "memory.max").write_text("max\n")
+        assert cli._headroom() == 100 * 2**30 - 25600 * os.sysconf("SC_PAGE_SIZE")
+
     def test_fuse_counts_reclaimable_file_cache_as_free(self, images, weights_path, fake_proc):
         # The group is 64 KiB short of memory.max, far below the small pair's
         # estimate, but the kernel reclaims its inactive file cache first.
@@ -394,6 +405,51 @@ class TestOtherCommands:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "default 500" in out and "default 0.05" in out
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("h, w", [(64, 64), (256, 256), (300, 200)])
+def test_peak_bytes_match_traced_peaks(h, w):
+    # metrics.peak_bytes covers both metrics commands: score and the band study.
+    a, b = np.random.default_rng(3).uniform(0, 1, (2, h, w))
+    f = 0.5 * (a + b)
+    opt = traced_peak(fusionopt.optimize, a, b, fusionopt.OptConfig(max_iters=3))
+    assert abs(fusionopt.peak_bytes(h, w) / opt - 1.0) <= 0.15
+    scoring = max(traced_peak(fn, a, b, f) for fn in (metrics.score, metrics.band_correlation_study))
+    assert abs(metrics.peak_bytes(h, w) / scoring - 1.0) <= 0.15
+
+
+@pytest.mark.parametrize("command", ["fuse", "fuse-opt", "metrics", "analyze-bands"])
+def test_refuses_a_job_larger_than_the_headroom(command, tmp_path, weights_path, monkeypatch,
+                                                 capsys):
+    # Every estimate at 128x128 exceeds 1 MiB: each command exits 2 before
+    # any work, names both figures and writes nothing.
+    g = np.random.default_rng(4)
+    a, b = (write_image(tmp_path / f"{m}.pgm", smooth_image(g, 128)) for m in "ab")
+    out = tmp_path / "out"
+    argv, need = {
+        "fuse": (["--weights", weights_path, "-o", str(out)],
+                 network.peak_bytes(128, 128, network.load_weights(weights_path)[1])),
+        "fuse-opt": (["-o", str(out), "--trace", str(tmp_path / "trace.csv")],
+                     fusionopt.peak_bytes(128, 128)),
+        "metrics": ([a], metrics.peak_bytes(128, 128)),
+        "analyze-bands": ([a, "--out", str(out)], metrics.peak_bytes(128, 128)),
+    }[command]
+    before = set(tmp_path.iterdir())
+    monkeypatch.setattr(cli, "_headroom", lambda: 2**20)
+    assert cli.main([command, a, b, *argv]) == 2
+    captured = capsys.readouterr()
+    assert f"needs about {need / 2**20:.0f} MiB, more than the 1 MiB" in captured.err
+    assert captured.out == ""
+    assert set(tmp_path.iterdir()) == before
 
 
 # Paths the OS refuses: {dir} is a directory, {a} an existing file.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,19 @@ def test_shape_guards():
         optimize(np.zeros((16, 16)), np.zeros((16, 17)))
     with pytest.raises(ShapeError):
         optimize(np.zeros((8, 8)), np.zeros((8, 8)))
+
+
+def test_peak_memory_does_not_grow_with_iterations():
+    # Only the live report keeps a gradient, so a longer run adds scalar loss
+    # terms alone (each run below takes all its iterations).
+    a, b = np.random.default_rng(9).uniform(0, 1, (2, 128, 128))
+    peaks = []
+    for iters in (10, 100):
+        tracemalloc.start()
+        try:
+            _, trace = optimize(a, b, OptConfig(max_iters=iters))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert trace.iterations == iters
+    assert peaks[1] <= 1.05 * peaks[0]
