@@ -1,9 +1,9 @@
 """Command-line interface: fuse, fuse-opt, decompose, analyze-bands, metrics,
 gradcheck, init-weights.
 
-Exit codes: 0 success, 2 input/validation error or too little memory for fuse,
-fuse-opt, metrics or analyze-bands, 3 weights/format error, 4 internal
-invariant violation.
+Exit codes: 0 success, 2 input/validation error, too little memory for fuse,
+fuse-opt, metrics or analyze-bands, or a MemoryError in any command, 3
+weights/format error, 4 internal invariant violation.
 """
 
 import argparse
@@ -295,6 +295,9 @@ def main(argv=None):
         return args.func(args)
     except (PnmParseError, ShapeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

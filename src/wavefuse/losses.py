@@ -6,7 +6,7 @@ that padded correlation, so finite differences agree to machine-level accuracy
 away from the L1 kinks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,9 +41,9 @@ class LossWeights:
     gamma2: float = 0.5
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "alpha1", "alpha2", "gamma1", "gamma2"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"loss weight {name} must be >= 0 and finite")
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < np.inf:
+                raise ValueError(f"loss weight {f.name} must be >= 0 and finite")
 
 
 @dataclass
@@ -91,17 +91,6 @@ def _correlate(x, taps, axis, out=None):
     return out
 
 
-def _correlate_adjoint(g, taps, axis):
-    """Adjoint of _correlate: scatter g back through each tap."""
-    shape = list(g.shape)
-    shape[axis] += len(taps) - 1
-    out = np.zeros(shape)
-    for u, t in enumerate(taps):
-        view = _part(out, axis, u, g.shape[axis])
-        view += t * g
-    return out
-
-
 def _by_strips(fn, x, halo):
     """Run fn(strip, out) over strips of x, writing one output array. fn is
     row-local: output row i reads input rows i to i + halo, and has halo fewer
@@ -138,10 +127,15 @@ def filt(x, k):
 
 
 def filt_adjoint(g, k):
-    """Exact adjoint of filt for a kernel k."""
+    """Exact adjoint of filt for a kernel k: the full convolution with k, as
+    filt's strip kernel (columns, then rows) on g zero-padded and flipped,
+    then the reflect padding folded back. Flipping g, not the taps, sums each
+    pixel's terms in the order a scatter through the taps would."""
     kr, kc = k
-    gp = _correlate_adjoint(_correlate_adjoint(g, kc, 1), kr, 0)
-    return reflect_pad_adjoint(gp, len(kr) // 2)
+    m = len(kr) - 1
+    gp = np.pad(np.asarray(g, dtype=np.float64), m)[::-1, ::-1]
+    full = _by_strips(lambda s, out: _correlate(_correlate(s, kc, 1), kr, 0, out), gp, m)
+    return reflect_pad_adjoint(full[::-1, ::-1], m // 2)
 
 
 def grad_abs(x):
@@ -149,12 +143,12 @@ def grad_abs(x):
     return np.abs(filt(x, SOBEL_X)) + np.abs(filt(x, SOBEL_Y))
 
 
-def loss_intensity(f, a, b, alpha1=1.0, alpha2=1.0):
-    """Mean L1 pull toward both sources; subgradient sign(0) = 0."""
+def loss_intensity(f, a, b, w):
+    """Mean L1 pull toward both sources (weights w.alpha1, w.alpha2); sign(0) = 0."""
     f, a, b = check_images(f, a, b)
     n = f.size
-    value = alpha1 * np.abs(f - a).sum() / n + alpha2 * np.abs(f - b).sum() / n
-    grad = (alpha1 * np.sign(f - a) + alpha2 * np.sign(f - b)) / n
+    value = w.alpha1 * np.abs(f - a).sum() / n + w.alpha2 * np.abs(f - b).sum() / n
+    grad = (w.alpha1 * np.sign(f - a) + w.alpha2 * np.sign(f - b)) / n
     return value, grad
 
 
@@ -239,25 +233,25 @@ def _ssim_value_grad(f, a):
     return value, grad
 
 
-def loss_ssim(f, a, b, gamma1=0.5, gamma2=0.5):
-    """gamma1*(1 - SSIM(f,a)) + gamma2*(1 - SSIM(f,b)) with analytic gradient."""
+def loss_ssim(f, a, b, w):
+    """w.gamma1*(1 - SSIM(f,a)) + w.gamma2*(1 - SSIM(f,b)) with analytic gradient."""
     f, a, b = check_images(f, a, b)
     va, ga = _ssim_value_grad(f, a)
     vb, gb = _ssim_value_grad(f, b)
-    value = gamma1 * (1.0 - va) + gamma2 * (1.0 - vb)
-    grad = -gamma1 * ga - gamma2 * gb
+    value = w.gamma1 * (1.0 - va) + w.gamma2 * (1.0 - vb)
+    grad = -w.gamma1 * ga - w.gamma2 * gb
     return value, grad
 
 
 def loss_total(f, a, b, w=LossWeights(), with_grad=True):
     """Weighted sum of the three terms; grad is d(total)/d(fused image),
     summed in place as each term's gradient arrives."""
-    l_int, grad = loss_intensity(f, a, b, w.alpha1, w.alpha2)
+    l_int, grad = loss_intensity(f, a, b, w)
     grad *= w.alpha
     l_text, g = loss_texture(f, a, b)
     grad += w.beta * g
     del g
-    l_ssim, g = loss_ssim(f, a, b, w.gamma1, w.gamma2)
+    l_ssim, g = loss_ssim(f, a, b, w)
     grad += w.gamma * g
     total = w.alpha * l_int + w.beta * l_text + w.gamma * l_ssim
     return LossReport(

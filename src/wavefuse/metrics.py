@@ -59,11 +59,9 @@ def _qabf_sigmoid(x, gamma, kappa, sigma):
 
 
 def _preservation(g_src, t_src, g_f, t_f):
-    ratio = np.where(
-        g_src > g_f,
-        np.divide(g_f, np.where(g_src == 0.0, 1.0, g_src)),
-        np.where(g_f > g_src, np.divide(g_src, np.where(g_f == 0.0, 1.0, g_f)), 1.0),
-    )
+    hi = np.maximum(g_src, g_f)
+    ratio = np.divide(np.minimum(g_src, g_f), hi, out=np.ones_like(hi), where=hi > 0.0)
+    del hi  # dead: freed before the sigmoids, where Q_abf peaks
     align = 1.0 - np.abs(t_src - t_f) / (np.pi / 2.0)
     qg = _qabf_sigmoid(ratio, QABF_GAMMA_G, QABF_KAPPA_G, QABF_SIGMA_G)
     qt = _qabf_sigmoid(align, QABF_GAMMA_T, QABF_KAPPA_T, QABF_SIGMA_T)
@@ -83,8 +81,9 @@ def q_abf(a, b, f):
     feats = []
     for x in (a, b, f):  # (strength, orientation) of each image
         g, sx, sy = _edge_strength(x)
-        theta = np.arctan(np.divide(sy, np.where(sx == 0.0, 1.0, sx)))
-        feats.append((g, np.where(sx == 0.0, np.pi / 2.0, theta)))
+        # Where sx is 0 the orientation is arctan(inf) = pi/2.
+        theta = np.divide(sy, sx, out=np.full_like(sx, np.inf), where=sx != 0.0)
+        feats.append((g, np.arctan(theta, out=theta)))
     del sx, sy, theta
     (ga, ta), (gb, tb), (gf, tf) = feats
     qa = _preservation(ga, ta, gf, tf)
@@ -141,7 +140,7 @@ def q_w(a, b, f):
     q0_af = _q0(a, mean_a, var_a, f, mean_f, var_f)
     q0_bf = _q0(b, mean_b, var_b, f, mean_f, var_f)
     sal = var_a + var_b
-    lam = np.where(sal > 0.0, var_a / np.where(sal == 0.0, 1.0, sal), 0.5)
+    lam = np.divide(var_a, sal, out=np.full_like(sal, 0.5), where=sal > 0.0)
     q = lam * q0_af + (1.0 - lam) * q0_bf
     del q0_af, q0_bf, sal, lam  # dead: freed before c and c * q, q_w's peak
     c = np.maximum(var_a, var_b)

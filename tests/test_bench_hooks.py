@@ -3,9 +3,10 @@ name: mhsa's q_src, conv2d's x and kernel, softmax_rows' m and enhance_block's
 f1 and cfg. A signature change that renames one of them breaks the traced
 benchmark run; this test runs the same hooks on one small forward. The traced
 score workload asserts exact span counts, which a new public helper would
-change; the second test counts them on a small triple. The optimizer counts
-tell step bases from rejected candidates by the identity of the reports
-loss_total returned; the third test holds optimize to that."""
+change; the second test counts them on a small triple, and the third the
+loss path's counts on a short optimize run. The optimizer counts tell step
+bases from rejected candidates by the identity of the reports loss_total
+returned; the fourth test holds optimize to that."""
 
 import importlib
 import sys
@@ -51,6 +52,22 @@ def test_traced_score_span_counts(rng):
     # filts per image in q_abf and in fmi, 122 filts in all.
     for name, want in workloads.Score.EXPECTED_CALLS.items():
         assert tracer.get(name).calls == want, name
+
+
+def test_traced_optimize_span_counts(rng):
+    # The var-fuse workload's table: spans per loss_total call. A filter that
+    # reached another public function (filt_adjoint calling filt, say) would
+    # change these counts.
+    modules = {m: importlib.import_module(f"wavefuse.{m}") for m in layers.MODULES}
+    a, b = rng.uniform(0, 1, (2, 32, 32))
+    tracer = spans.Tracer()
+    with spans.instrument(tracer, modules, [wavefuse, *modules.values()]):
+        fusionopt.optimize(a, b, fusionopt.OptConfig(max_iters=3))
+    n = tracer.get("losses.loss_total").calls
+    assert n >= 4
+    for name, per_loss in workloads.VarFuse.CALLS_PER_LOSS.items():
+        assert tracer.get(name).calls == per_loss * n, name
+    assert tracer.get("fusionopt.optimize").calls == 1
 
 
 def test_optimize_keeps_the_reports_loss_total_returned(rng):

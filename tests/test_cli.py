@@ -452,6 +452,25 @@ def test_refuses_a_job_larger_than_the_headroom(command, tmp_path, weights_path,
     assert set(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["fuse", "metrics"])
+def test_memory_error_exit_2(command, images, weights_path, monkeypatch, capsys):
+    # A job that passes the memory check can still run out: it exits 2 with
+    # an error line, and writes no output.
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 384. MiB")
+
+    monkeypatch.setattr(network, "forward", out_of_memory)
+    monkeypatch.setattr(metrics, "score", out_of_memory)
+    a, b, tmp = images
+    argv = {"fuse": ["--weights", weights_path, "-o", str(tmp / "out.pgm")], "metrics": [a]}
+    before = set(tmp.iterdir())
+    assert cli.main([command, a, b, *argv[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out of memory: Unable to allocate")
+    assert captured.out == ""
+    assert set(tmp.iterdir()) == before
+
+
 # Paths the OS refuses: {dir} is a directory, {a} an existing file.
 OS_ERROR_ARGV = [
     ["fuse-opt", "{dir}", "{b}", "-o", "{dir}/f.pgm"],

@@ -65,6 +65,15 @@ STRIP_FILTERS = {
     "gauss": (lambda x: L.filt(x, L.gaussian_window()), 0, 2 * (L.SSIM_WINDOW // 2)),
     "sobel_x": (lambda x: L.filt(x, L.SOBEL_X), 0, 2),
     "sobel_y": (lambda x: L.filt(x, L.SOBEL_Y), 0, 2),
+    # The adjoint's strips read the gradient zero-padded by k - 1 on each side
+    # and write k - 1 more rows than the gradient has.
+    "gauss_adjoint": (
+        lambda x: L.filt_adjoint(x, L.gaussian_window()),
+        -(L.SSIM_WINDOW - 1),
+        2 * (L.SSIM_WINDOW - 1),
+    ),
+    "sobel_x_adjoint": (lambda x: L.filt_adjoint(x, L.SOBEL_X), -2, 4),
+    "sobel_y_adjoint": (lambda x: L.filt_adjoint(x, L.SOBEL_Y), -2, 4),
     "box_sum": (lambda x: L._sliding(x, 8, np.add), 7, 0),
     "max": (lambda x: L._sliding(x, 8, np.maximum), 7, 0),
     "min": (lambda x: L._sliding(x, 8, np.minimum), 7, 0),
@@ -72,8 +81,8 @@ STRIP_FILTERS = {
 
 
 class TestStrips:
-    """filt and _sliding run over strips of output rows; every row must come
-    out bit for bit as in one pass over the whole image."""
+    """filt, filt_adjoint and _sliding run over strips of output rows; every
+    row must come out bit for bit as in one pass over the whole image."""
 
     @pytest.mark.parametrize("case", STRIP_SHAPES)
     @pytest.mark.parametrize("name", STRIP_FILTERS)
@@ -164,14 +173,14 @@ class TestSmallImages:
 class TestIntensity:
     def test_zero_at_equality(self, rng):
         a = rng.uniform(0, 1, (6, 6))
-        value, grad = L.loss_intensity(a, a, a.copy())
+        value, grad = L.loss_intensity(a, a, a.copy(), L.LossWeights())
         assert value == 0.0
         assert np.abs(grad).max() == 0.0  # sign(0) = 0 subgradient
 
     def test_single_pixel_enumeration(self):
         f = np.array([[1.0]])
         z = np.array([[0.0]])
-        value, grad = L.loss_intensity(f, z, z)
+        value, grad = L.loss_intensity(f, z, z, L.LossWeights())
         assert value == 2.0
         assert grad[0, 0] == 2.0
 
@@ -179,13 +188,13 @@ class TestIntensity:
         f = np.array([[0.5]])
         a = np.array([[0.0]])
         b = np.array([[1.0]])
-        value, grad = L.loss_intensity(f, a, b, alpha1=3.0, alpha2=1.0)
+        value, grad = L.loss_intensity(f, a, b, L.LossWeights(alpha1=3.0, alpha2=1.0))
         assert value == pytest.approx(3.0 * 0.5 + 1.0 * 0.5)
         assert grad[0, 0] == pytest.approx(3.0 - 1.0)
 
     def test_matches_naive(self, rng):
         f, a, b = (rng.uniform(0, 1, (5, 7)) for _ in range(3))
-        value, _ = L.loss_intensity(f, a, b)
+        value, _ = L.loss_intensity(f, a, b, L.LossWeights())
         assert value == pytest.approx(intensity_loss_naive(f, a, b), abs=1e-12)
 
 
@@ -232,13 +241,13 @@ class TestSsim:
 
     def test_loss_zero_at_equality(self, rng):
         a = rng.uniform(0, 1, (12, 12))
-        value, _ = L.loss_ssim(a, a.copy(), a.copy())
+        value, _ = L.loss_ssim(a, a.copy(), a.copy(), L.LossWeights())
         assert abs(value) < 1e-12
 
     def test_loss_at_f_equals_a(self, rng):
         a = smooth_image(rng, 16)
         b = smooth_image(rng, 16)
-        value, _ = L.loss_ssim(a, a.copy(), b)
+        value, _ = L.loss_ssim(a, a.copy(), b, L.LossWeights())
         want = 0.5 * (1.0 - ssim_naive(a, b))
         assert value == pytest.approx(want, abs=1e-10)
 
