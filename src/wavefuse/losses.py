@@ -138,11 +138,6 @@ def filt_adjoint(g, k):
     return reflect_pad_adjoint(full[::-1, ::-1], m // 2)
 
 
-def grad_abs(x):
-    """|Sobel_x| + |Sobel_y| per pixel."""
-    return np.abs(filt(x, SOBEL_X)) + np.abs(filt(x, SOBEL_Y))
-
-
 def loss_intensity(f, a, b, w):
     """Mean L1 pull toward both sources (weights w.alpha1, w.alpha2); sign(0) = 0."""
     f, a, b = check_images(f, a, b)
@@ -156,7 +151,8 @@ def _texture_terms(f, a, b):
     """Sobel responses of f and the residual |grad f| - max(|grad a|, |grad b|)."""
     sxf = filt(f, SOBEL_X)
     syf = filt(f, SOBEL_Y)
-    return sxf, syf, np.abs(sxf) + np.abs(syf) - np.maximum(grad_abs(a), grad_abs(b))
+    ga, gb = (np.abs(filt(x, SOBEL_X)) + np.abs(filt(x, SOBEL_Y)) for x in (a, b))
+    return sxf, syf, np.abs(sxf) + np.abs(syf) - np.maximum(ga, gb)
 
 
 def loss_texture(f, a, b):
@@ -196,17 +192,13 @@ def _ssim_terms(x, y, g):
     return mu_x, mu_y, a1, a2, b1, b2
 
 
-def ssim_map(x, y):
-    """Per-pixel SSIM with an 11x11 Gaussian window (sigma 1.5, L = 1)."""
+def ssim(x, y):
+    """Mean SSIM with an 11x11 Gaussian window (sigma 1.5, L = 1)."""
     x, y = check_images(x, y)
     if min(x.shape) < SSIM_WINDOW:
         raise ShapeError(f"image {x.shape} smaller than SSIM window {SSIM_WINDOW}")
     _, _, a1, a2, b1, b2 = _ssim_terms(x, y, gaussian_window())
-    return a1 * a2 / (b1 * b2)
-
-
-def ssim(x, y):
-    return float(ssim_map(x, y).mean())
+    return float((a1 * a2 / (b1 * b2)).mean())
 
 
 def _ssim_value_grad(f, a):
@@ -263,7 +255,7 @@ def loss_total(f, a, b, w=LossWeights(), with_grad=True):
     )
 
 
-def kink_free_mask(f, a, b, h):
+def _kink_free_mask(f, a, b, h):
     """Pixels whose +-h perturbation cannot cross an L1 kink of any term."""
     margin = 10.0 * h
     mask = (np.abs(f - a) > margin) & (np.abs(f - b) > margin)
@@ -286,7 +278,7 @@ def gradcheck(f, a, b, w=LossWeights(), seed=0):
     Raises if too few safe pixels exist."""
     f, a, b = check_images(f, a, b)
     analytic = loss_total(f, a, b, w).grad
-    idx = np.argwhere(kink_free_mask(f, a, b, GRADCHECK_H))
+    idx = np.argwhere(_kink_free_mask(f, a, b, GRADCHECK_H))
     if len(idx) < GRADCHECK_SAMPLES:
         raise ValueError(
             f"only {len(idx)} kink-free pixels available, need {GRADCHECK_SAMPLES}"

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .imageio import check_images
-from .losses import _STRIP_BYTES, SOBEL_X, SOBEL_Y, _sliding, filt, ssim
+from .losses import SOBEL_X, SOBEL_Y, _sliding, filt, ssim
 from .wavelet import dwt2
 
 QABF_GAMMA_G = 0.9994
@@ -49,8 +49,8 @@ def _edge_strength(x):
         raise ShapeError(f"edge features need at least 3x3 images, got {x.shape}")
     sx = filt(x, SOBEL_X)
     sy = filt(x, SOBEL_Y)
-    sx = np.where(np.abs(sx) < EDGE_EPS, 0.0, sx)
-    sy = np.where(np.abs(sy) < EDGE_EPS, 0.0, sy)
+    sx[np.abs(sx) < EDGE_EPS] = 0.0
+    sy[np.abs(sy) < EDGE_EPS] = 0.0
     return np.sqrt(sx * sx + sy * sy), sx, sy
 
 
@@ -115,14 +115,16 @@ def _q0(x, mean_x, var_x, y, mean_y, var_y):
     # Cauchy-Schwarz bound sqrt(var_x * var_y) on windows whose pixels differ
     # by an ulp, and that is nonzero on flat windows, whose covariance with
     # any other is exactly 0. Clamped to the bound, |Q0| <= 1 up to rounding.
-    # The bound is dropped and num divided in place, to keep q_w's peak low.
+    # Spent temporaries are dropped and num divided in place, for q_w's peak.
     bound = np.sqrt(var_x * var_y)
     cov = np.clip(_window_mean(x * y) - mean_x * mean_y, -bound, bound)
     del bound
     num = 4.0 * cov * mean_x * mean_y
+    del cov
     den = (var_x + var_y) * (mean_x**2 + mean_y**2)
     ok = den != 0.0
     out = np.divide(num, den, out=num, where=ok)
+    del den
     # Degenerate windows: equal content is perfect, anything else scores 0.
     bad = ~ok
     out[bad] = _sliding(np.abs(x - y), QW_WINDOW, np.maximum)[bad] == 0.0
@@ -212,20 +214,14 @@ def score(a, b, f):
 
 
 def peak_bytes(h, w):
-    """Estimated peak bytes score allocates on an h x w triple, the largest of
-    three stages; band_correlation_study stays under it (30 B/px at 512²).
-    Q_w's second Q0: the six window statistics, Q0 of a, cov, den, num and two
-    masks on (h - 7) x (w - 7) windows, then |x - y|, its window maxima and
-    one row strip of the sliding maximum. Q_abf's second preservation map: the
-    six edge features, the first map, and ratio, align, qg, qt and their
-    product. FMI's second entropy: the three edge features, two bin indices,
-    the joint histogram and its normalisation (256² each), and three arrays
-    of at most one entry per pixel over the nonzero bins."""
-    n, v = h * w, (h - QW_WINDOW + 1) * (w - QW_WINDOW + 1)
-    strip = w * min(max(1, _STRIP_BYTES // (8 * w)), h - QW_WINDOW + 1)
-    q_w_peak = 10 * v + 2 * v / 8 + n + v + strip
-    fmi_peak = 5 * n + 2 * FMI_BINS**2 + 3 * min(n, FMI_BINS**2)
-    return int(8 * max(q_w_peak, 12 * n, fmi_peak))
+    """Estimated peak bytes score allocates on an h x w triple, in whole
+    images; Q_w and band_correlation_study stay under it. Q_abf's second
+    preservation map: the six edge features, the first map, and ratio, align,
+    qg, qt and their product. FMI's second entropy: the three edge features,
+    two bin indices, the joint histogram and its normalisation (256² each),
+    and three arrays of at most one entry per pixel over the nonzero bins."""
+    n = h * w
+    return 8 * max(12 * n, 5 * n + 2 * FMI_BINS**2 + 3 * min(n, FMI_BINS**2))
 
 
 _BANDS = ("ll", "lh", "hl", "hh")

@@ -66,12 +66,8 @@ def softmax_rows(m):
     if parts == 1:
         _softmax_part(rows)
         return m
-    first, *rest = np.array_split(rows, parts)
-    with ThreadPoolExecutor(parts - 1) as pool:
-        futures = [pool.submit(_softmax_part, block) for block in rest]
-        _softmax_part(first)
-        for f in futures:
-            f.result()
+    with ThreadPoolExecutor(parts) as pool:
+        list(pool.map(_softmax_part, np.array_split(rows, parts)))
     return m
 
 

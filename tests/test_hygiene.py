@@ -1,13 +1,15 @@
 """Static checks on the package source: no unused module-level import, no
-private module-level function that nothing calls and no function parameter
-that the function never reads. Standard library only."""
+private module-level function that nothing calls, no public one that nothing
+outside its module names, and no function parameter that the function never
+reads. Standard library only."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wavefuse"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wavefuse"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -26,6 +28,12 @@ def _referenced_names(tree):
     return names
 
 
+def _named(tree):
+    """Every name the module reads or imports from another module."""
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    return _referenced_names(tree) | imported
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = _parse(path)
@@ -42,12 +50,7 @@ def test_no_unused_imports(path):
 
 def test_every_private_function_has_a_caller():
     trees = {path.name: _parse(path) for path in SRC.glob("*.py")}
-    used = set()
-    for tree in trees.values():
-        used |= _referenced_names(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                used |= {alias.name for alias in node.names}
+    used = set().union(*map(_named, trees.values()))
     uncalled = [
         f"{name}:{node.name}"
         for name, tree in trees.items()
@@ -58,6 +61,24 @@ def test_every_private_function_has_a_caller():
         and node.name not in used
     ]
     assert not uncalled, f"private functions with no caller: {uncalled}"
+
+
+def test_every_public_function_is_named_elsewhere():
+    # A public helper that only its own module calls is dead API; the cmd_*
+    # handlers are reached through the CLI's dispatch table.
+    others = [p for d in ("tests", "perfbench") for p in (ROOT / d).glob("*.py")]
+    trees = {p: _parse(p) for p in [*SRC.glob("*.py"), *others] if p != Path(__file__).resolve()}
+    unnamed = []
+    for path in SRC.glob("*.py"):
+        named = set().union(*(_named(tree) for other, tree in trees.items() if other != path))
+        unnamed += [
+            f"{path.name}:{node.name}"
+            for node in trees[path].body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith(("_", "cmd_"))
+            and node.name not in named
+        ]
+    assert not unnamed, f"public functions named nowhere outside their module: {unnamed}"
 
 
 def test_every_parameter_is_read():

@@ -272,6 +272,19 @@ class TestScore:
         assert len(lines) == 6
         assert text.endswith("\n")
 
+    @pytest.mark.parametrize("fn", [M.score, M.q_abf, M.q_w], ids=lambda fn: fn.__name__)
+    def test_peak_within_benchmark_bound_at_512(self, fn):
+        # BENCHMARK.json bounds score's peak_mib at 5 % above the commit
+        # before; peak_bytes (24 MiB at 512²) is held to that bound here.
+        a, b, f = triple(17, size=512)
+        tracemalloc.start()
+        try:
+            fn(a, b, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * M.peak_bytes(512, 512)
+
 
 class TestBandStudy:
     def test_fused_equals_a_matched_bands_one(self):
