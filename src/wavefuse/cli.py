@@ -42,11 +42,8 @@ def _load_pair(args):
 
 
 def _load_triple(args):
-    """The lumas of the two sources and the fused image, once the memory check
-    of metrics and analyze-bands passes."""
-    images = [_load_luma(path)[0] for path in (args.input_a, args.input_b, args.fused)]
-    _check_memory("scoring", images[0].shape, metrics.peak_bytes(*images[0].shape))
-    return images
+    """The lumas of the two sources and the fused image."""
+    return [_load_luma(path)[0] for path in (args.input_a, args.input_b, args.fused)]
 
 
 def smooth_image(rng, size=32):
@@ -208,12 +205,16 @@ def cmd_decompose(args):
 
 
 def cmd_metrics(args):
-    sys.stdout.write(metrics.metrics_csv(metrics.score(*_load_triple(args))))
+    a, b, f = _load_triple(args)
+    _check_memory("scoring", a.shape, metrics.peak_bytes(*a.shape))
+    sys.stdout.write(metrics.metrics_csv(metrics.score(a, b, f)))
     return EXIT_OK
 
 
 def cmd_analyze_bands(args):
-    text = metrics.study_csv(metrics.band_correlation_study(*_load_triple(args)))
+    a, b, f = _load_triple(args)
+    _check_memory("studying", a.shape, metrics.study_peak_bytes(*a.shape))
+    text = metrics.study_csv(metrics.band_correlation_study(a, b, f))
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)

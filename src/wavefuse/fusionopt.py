@@ -35,8 +35,11 @@ class OptConfig:
 @dataclass
 class OptTrace:
     reports: list[LossReport]
-    iterations: int
     stop_reason: str  # "converged" or "max_iters"
+
+    @property
+    def iterations(self):
+        return len(self.reports) - 1
 
     def csv(self):
         lines = ["iter,total,l_int,l_text,l_ssim"]
@@ -107,4 +110,4 @@ def optimize(a, b, cfg=OptConfig()):
         ):
             stop = "converged"
             break
-    return f, OptTrace(reports=reports, iterations=len(reports) - 1, stop_reason=stop)
+    return f, OptTrace(reports=reports, stop_reason=stop)

@@ -98,9 +98,6 @@ def rgb_to_ycbcr(rgb):
     """Full-range BT.601 forward transform of an (H, W, 3) image with channels
     in [0, 1] to one (H, W, 3) array of the planes Y in [0, 1] and Cb, Cr in
     [-0.5, 0.5]."""
-    rgb = np.asarray(rgb, dtype=np.float64)
-    if rgb.ndim != 3 or rgb.shape[2] != 3:
-        raise ShapeError(f"expected (H,W,3) RGB image, got {rgb.shape}")
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
     y = _KR * r + (1.0 - _KR - _KB) * g + _KB * b
     cb = 0.5 * (b - y) / (1.0 - _KB)

@@ -122,7 +122,7 @@ def filt(x, k):
     """Correlate with the separable kernel k (taps down the rows, taps along
     the columns) under reflect padding; output size equals input size."""
     kr, kc = k
-    xp = np.pad(np.asarray(x, dtype=np.float64), len(kr) // 2, mode="reflect")
+    xp = np.pad(x, len(kr) // 2, mode="reflect")
     return _by_strips(lambda s, out: _correlate(_correlate(s, kr, 0), kc, 1, out), xp, len(kr) - 1)
 
 
@@ -133,14 +133,13 @@ def filt_adjoint(g, k):
     pixel's terms in the order a scatter through the taps would."""
     kr, kc = k
     m = len(kr) - 1
-    gp = np.pad(np.asarray(g, dtype=np.float64), m)[::-1, ::-1]
+    gp = np.pad(g, m)[::-1, ::-1]
     full = _by_strips(lambda s, out: _correlate(_correlate(s, kc, 1), kr, 0, out), gp, m)
     return reflect_pad_adjoint(full[::-1, ::-1], m // 2)
 
 
 def loss_intensity(f, a, b, w):
     """Mean L1 pull toward both sources (weights w.alpha1, w.alpha2); sign(0) = 0."""
-    f, a, b = check_images(f, a, b)
     n = f.size
     value = w.alpha1 * np.abs(f - a).sum() / n + w.alpha2 * np.abs(f - b).sum() / n
     grad = (w.alpha1 * np.sign(f - a) + w.alpha2 * np.sign(f - b)) / n
@@ -158,7 +157,6 @@ def _texture_terms(f, a, b):
 def loss_texture(f, a, b):
     """Mean L1 distance between |grad f| and the pointwise max of the source
     gradient magnitudes; gradient via the Sobel adjoints."""
-    f, a, b = check_images(f, a, b)
     n = f.size
     sxf, syf, diff = _texture_terms(f, a, b)
     value = np.abs(diff).sum() / n
@@ -227,7 +225,6 @@ def _ssim_value_grad(f, a):
 
 def loss_ssim(f, a, b, w):
     """w.gamma1*(1 - SSIM(f,a)) + w.gamma2*(1 - SSIM(f,b)) with analytic gradient."""
-    f, a, b = check_images(f, a, b)
     va, ga = _ssim_value_grad(f, a)
     vb, gb = _ssim_value_grad(f, b)
     value = w.gamma1 * (1.0 - va) + w.gamma2 * (1.0 - vb)
@@ -236,8 +233,9 @@ def loss_ssim(f, a, b, w):
 
 
 def loss_total(f, a, b, w=LossWeights(), with_grad=True):
-    """Weighted sum of the three terms; grad is d(total)/d(fused image),
-    summed in place as each term's gradient arrives."""
+    """Weighted sum of the three terms and its gradient in f, summed in place;
+    the loss path's one image check, which the terms below it trust."""
+    f, a, b = check_images(f, a, b)
     l_int, grad = loss_intensity(f, a, b, w)
     grad *= w.alpha
     l_text, g = loss_texture(f, a, b)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .imageio import check_images
-from .losses import SOBEL_X, SOBEL_Y, _sliding, filt, ssim
+from .losses import SOBEL_X, SOBEL_Y, SSIM_WINDOW, _sliding, filt, ssim
 from .wavelet import dwt2
 
 QABF_GAMMA_G = 0.9994
@@ -215,13 +215,24 @@ def score(a, b, f):
 
 def peak_bytes(h, w):
     """Estimated peak bytes score allocates on an h x w triple, in whole
-    images; Q_w and band_correlation_study stay under it. Q_abf's second
-    preservation map: the six edge features, the first map, and ratio, align,
-    qg, qt and their product. FMI's second entropy: the three edge features,
-    two bin indices, the joint histogram and its normalisation (256² each),
-    and three arrays of at most one entry per pixel over the nonzero bins."""
+    images; Q_w stays under it. Q_abf's second preservation map: the six edge
+    features, the first map, and ratio, align, qg, qt and their product. FMI's
+    second entropy: the three edge features, two bin indices, the joint
+    histogram and its normalisation (256² each), and three arrays of at most
+    one entry per pixel over the nonzero bins."""
     n = h * w
     return 8 * max(12 * n, 5 * n + 2 * FMI_BINS**2 + 3 * min(n, FMI_BINS**2))
+
+
+def study_peak_bytes(h, w):
+    """Estimated peak bytes band_correlation_study allocates on an h x w
+    triple: the fused bands and one source's (two whole images), and seven
+    bands counted padded by the SSIM window's half width a side. In ssim's
+    covariance filter those are both window means, b2, x * y, the output, the
+    padded band and a strip of the row pass; on large images, whose strips
+    are small, they are both means, a1, a2, b2 and the two squares of b1."""
+    pad = SSIM_WINDOW // 2
+    return 8 * (2 * h * w + 7 * (h // 2 + 2 * pad) * (w // 2 + 2 * pad))
 
 
 _BANDS = ("ll", "lh", "hl", "hh")

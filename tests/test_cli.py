@@ -181,6 +181,25 @@ class TestFuse:
         assert cli.main(["fuse", a, b, "--weights", str(bad), "-o", str(tmp / "x.pgm")]) == 3
         assert "init-weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        ("trailing_bytes", "8 trailing bytes after payloads"),
+        ("duplicate_name", "1 duplicate tensor names"),
+    ])
+    def test_malformed_table_exit_3(self, images, weights_path, edit, message, capsys):
+        # The CRC is recomputed, so the check under test is the one that fires.
+        a, b, tmp = images
+        body = Path(weights_path).read_bytes()[:-4]
+        if edit == "trailing_bytes":
+            body += bytes(8)
+        else:  # mlp.w1 and mlp.w2 hold as many values, so every offset still fits
+            body = body.replace(b"block0.s1.mlp.w2", b"block0.s1.mlp.w1", 1)
+        bad = tmp / "bad.wfw"
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        out = tmp / "x.pgm"
+        assert cli.main(["fuse", a, b, "--weights", str(bad), "-o", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
     def test_memory_check_under_address_space_limit(self, tmp_path):
         # Once numpy is loaded, the child caps its own address space halfway
@@ -418,38 +437,58 @@ def traced_peak(fn, *args):
 
 @pytest.mark.parametrize("h, w", [(64, 64), (256, 256), (300, 200)])
 def test_peak_bytes_match_traced_peaks(h, w):
-    # metrics.peak_bytes covers both metrics commands: score and the band study.
     a, b = np.random.default_rng(3).uniform(0, 1, (2, h, w))
     f = 0.5 * (a + b)
     opt = traced_peak(fusionopt.optimize, a, b, fusionopt.OptConfig(max_iters=3))
     assert abs(fusionopt.peak_bytes(h, w) / opt - 1.0) <= 0.15
-    scoring = max(traced_peak(fn, a, b, f) for fn in (metrics.score, metrics.band_correlation_study))
+    scoring = traced_peak(metrics.score, a, b, f)
     assert abs(metrics.peak_bytes(h, w) / scoring - 1.0) <= 0.15
+    study = traced_peak(metrics.band_correlation_study, a, b, f)
+    assert abs(metrics.study_peak_bytes(h, w) / study - 1.0) <= 0.15
 
 
 @pytest.mark.parametrize("command", ["fuse", "fuse-opt", "metrics", "analyze-bands"])
 def test_refuses_a_job_larger_than_the_headroom(command, tmp_path, weights_path, monkeypatch,
                                                  capsys):
-    # Every estimate at 128x128 exceeds 1 MiB: each command exits 2 before
-    # any work, names both figures and writes nothing.
+    # Each command's estimate at 128x128 exceeds its fake headroom: 1 MiB,
+    # or 256 KiB for the band study's 0.54 MiB. Each exits 2 before any
+    # work, names both figures and writes nothing.
     g = np.random.default_rng(4)
     a, b = (write_image(tmp_path / f"{m}.pgm", smooth_image(g, 128)) for m in "ab")
     out = tmp_path / "out"
-    argv, need = {
+    argv, need, room = {
         "fuse": (["--weights", weights_path, "-o", str(out)],
-                 network.peak_bytes(128, 128, network.load_weights(weights_path)[1])),
+                 network.peak_bytes(128, 128, network.load_weights(weights_path)[1]), 2**20),
         "fuse-opt": (["-o", str(out), "--trace", str(tmp_path / "trace.csv")],
-                     fusionopt.peak_bytes(128, 128)),
-        "metrics": ([a], metrics.peak_bytes(128, 128)),
-        "analyze-bands": ([a, "--out", str(out)], metrics.peak_bytes(128, 128)),
+                     fusionopt.peak_bytes(128, 128), 2**20),
+        "metrics": ([a], metrics.peak_bytes(128, 128), 2**20),
+        "analyze-bands": ([a, "--out", str(out)], metrics.study_peak_bytes(128, 128), 2**18),
     }[command]
+    assert need > room
     before = set(tmp_path.iterdir())
-    monkeypatch.setattr(cli, "_headroom", lambda: 2**20)
+    monkeypatch.setattr(cli, "_headroom", lambda: room)
     assert cli.main([command, a, b, *argv]) == 2
     captured = capsys.readouterr()
-    assert f"needs about {need / 2**20:.0f} MiB, more than the 1 MiB" in captured.err
+    assert f"needs about {need / 2**20:.0f} MiB, more than the {room / 2**20:.0f} MiB" in captured.err
     assert captured.out == ""
     assert set(tmp_path.iterdir()) == before
+
+
+def test_each_metrics_command_checks_its_own_estimate(tmp_path, monkeypatch, capsys):
+    # A headroom between the band study's estimate and score's lets
+    # analyze-bands run and still refuses metrics.
+    g = np.random.default_rng(4)
+    a, b = (write_image(tmp_path / f"{m}.pgm", smooth_image(g, 128)) for m in "ab")
+    room = 2**20
+    assert metrics.study_peak_bytes(128, 128) < room < metrics.peak_bytes(128, 128)
+    monkeypatch.setattr(cli, "_headroom", lambda: room)
+    out = tmp_path / "study.csv"
+    assert cli.main(["analyze-bands", a, b, a, "--out", str(out)]) == 0
+    assert out.read_text().startswith("band,src,ssim_low,ssim_high\n")
+    assert cli.main(["metrics", a, b, a]) == 2
+    captured = capsys.readouterr()
+    assert "scoring 128x128 needs about 2 MiB, more than the 1 MiB" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["fuse", "metrics"])

@@ -64,6 +64,28 @@ def test_init_modes():
         )
 
 
+def test_exhausted_line_search_stops_at_the_start():
+    # The intensity pull toward b is half the pull toward a, so every step
+    # along the gradient from f = a raises the loss: all 21 step sizes fail.
+    g = np.random.default_rng(10)
+    a = g.uniform(0.2, 0.4, (24, 24))
+    b = g.uniform(0.6, 0.8, (24, 24))
+    w = LossWeights(alpha1=1.0, alpha2=0.5, beta=0.0, gamma=0.0)
+    fused, trace = optimize(a, b, OptConfig(weights=w, init="source_a"))
+    assert trace.stop_reason == "converged"
+    assert trace.iterations == 0
+    assert len(trace.reports) == 1
+    assert np.array_equal(fused, a)
+
+
+def test_iterations_is_derived_from_the_reports():
+    g = np.random.default_rng(9)
+    _, trace = optimize(smooth_image(g, 16), smooth_image(g, 16), OptConfig(max_iters=3))
+    assert trace.iterations == len(trace.reports) - 1 == 3
+    with pytest.raises(AttributeError):
+        trace.iterations = 0
+
+
 def test_trace_csv_format():
     g = np.random.default_rng(9)
     a = smooth_image(g, 16)

@@ -1,7 +1,7 @@
 """Static checks on the package source: no unused module-level import, no
 private module-level function that nothing calls, no public one that nothing
-outside its module names, and no function parameter that the function never
-reads. Standard library only."""
+outside its module names, no function parameter that the function never
+reads, and no image check below the exported API. Standard library only."""
 
 import ast
 from pathlib import Path
@@ -67,10 +67,12 @@ def test_every_public_function_is_named_elsewhere():
     # A public helper that only its own module calls is dead API; the cmd_*
     # handlers are reached through the CLI's dispatch table.
     others = [p for d in ("tests", "perfbench") for p in (ROOT / d).glob("*.py")]
-    trees = {p: _parse(p) for p in [*SRC.glob("*.py"), *others] if p != Path(__file__).resolve()}
+    paths = [p for p in [*SRC.glob("*.py"), *others] if p != Path(__file__).resolve()]
+    trees = {p: _parse(p) for p in paths}
+    names = {p: _named(tree) for p, tree in trees.items()}
     unnamed = []
     for path in SRC.glob("*.py"):
-        named = set().union(*(_named(tree) for other, tree in trees.items() if other != path))
+        named = set().union(*(n for other, n in names.items() if other != path))
         unnamed += [
             f"{path.name}:{node.name}"
             for node in trees[path].body
@@ -97,3 +99,28 @@ def test_every_parameter_is_read():
             }
             unread += [f"{path.name}:{node.name}({p.arg})" for p in params if p.arg not in read]
     assert not unread, f"parameters never read: {unread}"
+
+
+def test_only_exported_functions_check_images():
+    # Each function in wavefuse.__all__ that takes images checks them at most
+    # once; the functions below the exported API trust their callers.
+    init = _parse(SRC / "__init__.py")
+    (exported,) = (
+        ast.literal_eval(n.value)
+        for n in init.body
+        if isinstance(n, ast.Assign) and [t.id for t in n.targets] == ["__all__"]
+    )
+    checks = {}
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.FunctionDef):
+                calls = [
+                    n for n in ast.walk(node)
+                    if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "check_images"
+                ]
+                if calls:
+                    checks[f"{path.name}:{node.name}"] = len(calls)
+    below = [name for name in checks if name.split(":")[1] not in exported]
+    assert not below, f"functions outside wavefuse.__all__ that call check_images: {below}"
+    twice = [name for name, n in checks.items() if n > 1]
+    assert not twice, f"functions that call check_images more than once: {twice}"

@@ -75,6 +75,14 @@ def test_bad_maxval(tmp_path):
         io.load_pnm(path)
 
 
+@pytest.mark.parametrize("dims", [b"0 2", b"2 0"], ids=["zero_width", "zero_height"])
+def test_zero_dimension(tmp_path, dims):
+    path = tmp_path / "z.pgm"
+    path.write_bytes(b"P5\n" + dims + b"\n255\n")
+    with pytest.raises(PnmParseError, match="invalid dimensions"):
+        io.load_pnm(path)
+
+
 class TestYCbCr:
     def test_gray_axis(self):
         ycc = io.rgb_to_ycbcr(np.ones((1, 1, 3)))

@@ -16,6 +16,7 @@ from oracles import (
 )
 from wavefuse import losses as L
 from wavefuse.errors import ShapeError
+from wavefuse.imageio import check_images
 
 SX = [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]]
 
@@ -282,6 +283,19 @@ class TestTotal:
         r1 = L.loss_total(f, a, b, with_grad=False)
         r2 = L.loss_total(f, b, a, with_grad=False)
         assert abs(r1.total - r2.total) < 1e-12
+
+    def test_checks_its_images_once(self, rng, monkeypatch):
+        # loss_total is the loss path's one image check; the terms trust it.
+        calls = []
+
+        def counting(*images):
+            calls.append(len(images))
+            return check_images(*images)
+
+        monkeypatch.setattr(L, "check_images", counting)
+        f, a, b = (rng.uniform(0, 1, (16, 16)) for _ in range(3))
+        L.loss_total(f, a, b)
+        assert calls == [3]
 
     def test_negative_weight_rejected(self):
         # and non-finite ones: a NaN or infinite weight makes every loss non-finite

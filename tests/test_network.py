@@ -440,6 +440,26 @@ class TestSerialization:
         with pytest.raises(FormatError, match=r"fuse\.3\.bias has non-finite"):
             net.load_weights(path)
 
+    @staticmethod
+    def resealed(path, body):
+        """Write body with its CRC, so that a check after the CRC's fires."""
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        return path
+
+    def test_trailing_bytes_after_payloads(self, tmp_path):
+        path = tmp_path / "w.wfw"
+        net.save_weights(net.init_weights(SMALL, 0), SMALL, path)
+        self.resealed(path, path.read_bytes()[:-4] + b"\x00" * 8)
+        with pytest.raises(FormatError, match="8 trailing bytes after payloads"):
+            net.load_weights(path)
+
+    def test_table_that_names_one_tensor_twice(self, tmp_path):
+        path = tmp_path / "w.wfw"
+        net.save_weights({"x": np.zeros(1), "y": np.ones(1)}, SMALL, path)
+        self.resealed(path, path.read_bytes()[:-4].replace(b"\x01\x00y", b"\x01\x00x"))
+        with pytest.raises(FormatError, match="1 duplicate tensor names"):
+            net.load_weights(path)
+
     def test_name_that_is_no_utf8(self, tmp_path):
         path = tmp_path / "w.wfw"
         net.save_weights({"\u00e9": np.zeros(1)}, SMALL, path)

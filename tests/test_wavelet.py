@@ -58,6 +58,12 @@ def test_odd_dims_rejected(rng):
         dwt2(rng.standard_normal((1, 1, 5, 4)))
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (1, 4, 4), (1, 1, 1, 4, 4)], ids=["rank2", "rank3", "rank5"])
+def test_non_rank_4_rejected(shape):
+    with pytest.raises(ShapeError, match="rank-4"):
+        dwt2(np.zeros(shape))
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_reconstruction_and_energy_property(seed):
