@@ -154,14 +154,19 @@ def _headroom():
     return min(rooms, default=None)
 
 
+def _size(n):
+    """n bytes in MiB to one decimal, or in whole KiB below 1 MiB."""
+    return f"{n / 2**20:.1f} MiB" if n >= 2**20 else f"{n / 2**10:.0f} KiB"
+
+
 def _check_memory(verb, shape, need):
     """Refuse, as an input error, a job whose estimated peak of `need` bytes
     exceeds what this process can still allocate."""
     room = _headroom()
     if room is not None and need > room:
         raise ValueError(
-            f"{verb} {shape[0]}x{shape[1]} needs about {need / 2**20:.0f} MiB, more than "
-            f"the {room / 2**20:.0f} MiB this process can still allocate"
+            f"{verb} {shape[0]}x{shape[1]} needs about {_size(need)}, more than "
+            f"the {_size(room)} this process can still allocate"
         )
 
 

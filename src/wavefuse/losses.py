@@ -3,7 +3,8 @@ with analytic gradients w.r.t. the fused image and a finite-difference checker.
 
 All filtering uses reflect padding; gradients flow through the exact adjoint of
 that padded correlation, so finite differences agree to machine-level accuracy
-away from the L1 kinks.
+away from the L1 kinks. Both run one kernel: for each 16 x 16 output tile of a
+pass, one BLAS product of the band matrix of the pass's taps with an input slab.
 """
 
 from dataclasses import dataclass, field, fields
@@ -28,6 +29,8 @@ GRADCHECK_SAMPLES = 64
 
 # Input bytes per strip of the row-local filters, so a strip stays in L2 cache.
 _STRIP_BYTES = 256 * 1024
+# Output rows and columns of each banded product in filt and filt_adjoint.
+_TILE = 16
 
 
 @dataclass(frozen=True)
@@ -82,22 +85,31 @@ def _part(x, axis, start, n):
     return x[start : start + n] if axis == 0 else x[:, start : start + n]
 
 
-def _correlate(x, taps, axis, out=None):
-    """Valid 1-D correlation of x with taps along one axis."""
-    n = x.shape[axis] - len(taps) + 1
-    out = np.multiply(taps[0], _part(x, axis, 0, n), out=out)
-    for u in range(1, len(taps)):
-        out += taps[u] * _part(x, axis, u, n)
-    return out
+def _tiles(x, rows, cols):
+    """The rows x cols blocks of a C-contiguous x whose origins are _TILE
+    apart on both axes, as far as they fit, as one 4-D view."""
+    s0, s1 = x.strides
+    shape = ((x.shape[0] - rows) // _TILE + 1, (x.shape[1] - cols) // _TILE + 1, rows, cols)
+    return np.ndarray(shape, x.dtype, x, 0, (_TILE * s0, _TILE * s1, s0, s1))
 
 
-def _by_strips(fn, x, halo):
-    """Run fn(strip, out) over strips of x, writing one output array. fn is
-    row-local: output row i reads input rows i to i + halo, and has halo fewer
-    columns. Each row is computed as in one pass over x, so the bits agree."""
+def _band(taps):
+    """The (T + k - 1, T) matrix whose column j holds the k taps from row j:
+    the transpose of T rows of T + k - 1 read from rows of T + k (taps, then
+    zeros), so that each row's taps start one column later."""
+    b = np.zeros((_TILE, _TILE + len(taps)))
+    b[:, : len(taps)] = taps
+    return b.ravel()[: _TILE * (_TILE + len(taps) - 1)].reshape(_TILE, -1).T.copy()
+
+
+def _by_strips(fn, x, halo, width):
+    """Run fn(strip, out) over strips of x, writing one output array of halo
+    fewer rows than x and `width` columns. fn is row-local: output row i reads
+    input rows i to i + halo. Strips are whole tiles of rows, so each row is
+    computed as in one pass over x and the bits agree."""
     n = x.shape[0] - halo
-    rows = max(1, _STRIP_BYTES // x[0].nbytes)
-    out = np.empty((n, x.shape[1] - halo), x.dtype)
+    rows = max(_TILE, _STRIP_BYTES // x[0].nbytes // _TILE * _TILE)
+    out = np.empty((n, width), x.dtype)
     for i in range(0, n, rows):
         fn(x[i : i + rows + halo], out[i : i + rows])
     return out
@@ -115,27 +127,47 @@ def _sliding(x, size, reduce):
             x = dst
         return x
 
-    return _by_strips(windows, x, size - 1)
+    return _by_strips(windows, x, size - 1, x.shape[1] - size + 1)
+
+
+def _separable(x, kr, kc, pad, reflect):
+    """Valid correlation with the kernel (kr, kc) of x padded by `pad` a side,
+    by reflection or with zeros. Each pass multiplies the band of its taps
+    with one (T + k - 1)-long slab per T x T output tile (T = _TILE), so every
+    product has one shape wherever its tile falls. The padding also rounds the
+    output and the row pass's columns up to whole tiles; the output is cropped."""
+    m = len(kr) - 1
+    (h, hx), (w, wx) = ((n + 2 * pad - m, n) for n in x.shape)
+    xp = np.zeros((h + m - h % -_TILE, w - w % -_TILE + m - m % -_TILE))
+    xp[pad : pad + hx, pad : pad + wx] = x
+    if reflect:  # mirror the image rows' columns, then whole rows, about each edge
+        for v, n in ((xp[pad : pad + hx].T, wx), (xp, hx)):
+            dst = [*range(pad), *range(n + pad, n + 2 * pad)]
+            src = [abs(j - pad) % max(1, 2 * n - 2) for j in dst]
+            v[dst] = v[[pad + min(j, 2 * n - 2 - j) for j in src]]
+    br, bc = _band(kr).T, _band(kc)
+
+    def passes(s, out):
+        t = np.empty((len(s) - m, s.shape[1]))
+        np.matmul(br, _tiles(s, m + _TILE, _TILE), out=_tiles(t, _TILE, _TILE))
+        np.matmul(_tiles(t, _TILE, m + _TILE), bc, out=_tiles(out, _TILE, _TILE))
+
+    return _by_strips(passes, xp, m, w - w % -_TILE)[:h, :w]
 
 
 def filt(x, k):
     """Correlate with the separable kernel k (taps down the rows, taps along
     the columns) under reflect padding; output size equals input size."""
     kr, kc = k
-    xp = np.pad(x, len(kr) // 2, mode="reflect")
-    return _by_strips(lambda s, out: _correlate(_correlate(s, kr, 0), kc, 1, out), xp, len(kr) - 1)
+    return _separable(x, kr, kc, len(kr) // 2, True)
 
 
 def filt_adjoint(g, k):
-    """Exact adjoint of filt for a kernel k: the full convolution with k, as
-    filt's strip kernel (columns, then rows) on g zero-padded and flipped,
-    then the reflect padding folded back. Flipping g, not the taps, sums each
-    pixel's terms in the order a scatter through the taps would."""
+    """Exact adjoint of filt for a kernel k: the full convolution with k,
+    which is filt's kernel with the taps reversed on g zero-padded, then the
+    reflect padding folded back."""
     kr, kc = k
-    m = len(kr) - 1
-    gp = np.pad(g, m)[::-1, ::-1]
-    full = _by_strips(lambda s, out: _correlate(_correlate(s, kc, 1), kr, 0, out), gp, m)
-    return reflect_pad_adjoint(full[::-1, ::-1], m // 2)
+    return reflect_pad_adjoint(_separable(g, kr[::-1], kc[::-1], len(kr) - 1, False), len(kr) // 2)
 
 
 def loss_intensity(f, a, b, w):

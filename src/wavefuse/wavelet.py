@@ -79,6 +79,8 @@ def load_bands(path):
     if buf[:4] != BANDS_MAGIC:
         raise FormatError(f"bad magic {buf[:4]!r}, expected {BANDS_MAGIC!r}")
     h, w = struct.unpack_from("<II", buf, 4)
+    if not h or not w:
+        raise FormatError(f"bands file declares empty {h}x{w} bands")
     need = 12 + 4 * h * w * 8
     if len(buf) != need:
         raise FormatError(f"bands file has {len(buf)} bytes, expected {need}")

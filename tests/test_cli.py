@@ -234,7 +234,7 @@ class TestFuse:
                 text=True, timeout=120, env=env,
             )
         assert runs[512].returncode == 2, runs[512].stderr
-        assert f"{network.peak_bytes(512, 512, cfg) / 2**20:.0f} MiB" in runs[512].stderr
+        assert f"{network.peak_bytes(512, 512, cfg) / 2**20:.1f} MiB" in runs[512].stderr
         assert not (tmp_path / "f512.pgm").exists()
         assert runs[64].returncode == 0, runs[64].stderr
         assert load_pnm(str(tmp_path / "f64.pgm")).shape == (64, 64)
@@ -379,6 +379,15 @@ class TestBandsContainer:
         with pytest.raises(FormatError, match="truncated"):
             wavelet.load_bands(path)
 
+    @pytest.mark.parametrize("h, w", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_bands(self, tmp_path, h, w):
+        # save_bands never writes an empty plane; such a header is malformed
+        # even when the byte count matches it.
+        path = tmp_path / "x.bands"
+        path.write_bytes(b"WBN1" + struct.pack("<II", h, w))
+        with pytest.raises(FormatError, match="empty"):
+            wavelet.load_bands(path)
+
 
 class TestMetricsAndBands:
     def test_self_fusion_metrics(self, images, capsys):
@@ -451,25 +460,27 @@ def test_peak_bytes_match_traced_peaks(h, w):
 def test_refuses_a_job_larger_than_the_headroom(command, tmp_path, weights_path, monkeypatch,
                                                  capsys):
     # Each command's estimate at 128x128 exceeds its fake headroom: 1 MiB,
-    # or 256 KiB for the band study's 0.54 MiB. Each exits 2 before any
-    # work, names both figures and writes nothing.
+    # or 256 KiB for the band study's 555 KiB. Each exits 2 before any work,
+    # names both figures, in KiB below 1 MiB, and writes nothing.
     g = np.random.default_rng(4)
     a, b = (write_image(tmp_path / f"{m}.pgm", smooth_image(g, 128)) for m in "ab")
     out = tmp_path / "out"
-    argv, need, room = {
-        "fuse": (["--weights", weights_path, "-o", str(out)],
-                 network.peak_bytes(128, 128, network.load_weights(weights_path)[1]), 2**20),
+    fuse_need = network.peak_bytes(128, 128, network.load_weights(weights_path)[1])
+    argv, need, room, text = {
+        "fuse": (["--weights", weights_path, "-o", str(out)], fuse_need, 2**20,
+                 f"{fuse_need / 2**20:.1f} MiB, more than the 1.0 MiB"),
         "fuse-opt": (["-o", str(out), "--trace", str(tmp_path / "trace.csv")],
-                     fusionopt.peak_bytes(128, 128), 2**20),
-        "metrics": ([a], metrics.peak_bytes(128, 128), 2**20),
-        "analyze-bands": ([a, "--out", str(out)], metrics.study_peak_bytes(128, 128), 2**18),
+                     fusionopt.peak_bytes(128, 128), 2**20, "2.0 MiB, more than the 1.0 MiB"),
+        "metrics": ([a], metrics.peak_bytes(128, 128), 2**20, "2.0 MiB, more than the 1.0 MiB"),
+        "analyze-bands": ([a, "--out", str(out)], metrics.study_peak_bytes(128, 128), 2**18,
+                          "555 KiB, more than the 256 KiB"),
     }[command]
     assert need > room
     before = set(tmp_path.iterdir())
     monkeypatch.setattr(cli, "_headroom", lambda: room)
     assert cli.main([command, a, b, *argv]) == 2
     captured = capsys.readouterr()
-    assert f"needs about {need / 2**20:.0f} MiB, more than the {room / 2**20:.0f} MiB" in captured.err
+    assert f"needs about {text} this process can still allocate" in captured.err
     assert captured.out == ""
     assert set(tmp_path.iterdir()) == before
 
@@ -487,7 +498,7 @@ def test_each_metrics_command_checks_its_own_estimate(tmp_path, monkeypatch, cap
     assert out.read_text().startswith("band,src,ssim_low,ssim_high\n")
     assert cli.main(["metrics", a, b, a]) == 2
     captured = capsys.readouterr()
-    assert "scoring 128x128 needs about 2 MiB, more than the 1 MiB" in captured.err
+    assert "scoring 128x128 needs about 2.0 MiB, more than the 1.0 MiB this" in captured.err
     assert captured.out == ""
 
 

@@ -117,6 +117,18 @@ def test_shape_guards():
         optimize(np.zeros((8, 8)), np.zeros((8, 8)))
 
 
+def test_smallest_accepted_size():
+    # 16x16 is the smallest pair optimize takes; one pixel less raises.
+    g = np.random.default_rng(15)
+    a, b = g.uniform(0, 1, (2, 16, 16))
+    fused, trace = optimize(a, b, OptConfig(max_iters=3))
+    assert fused.shape == (16, 16) and np.isfinite(fused).all()
+    assert trace.reports[-1].total < trace.reports[0].total
+    for shape in ((15, 16), (16, 15)):
+        with pytest.raises(ShapeError):
+            optimize(*g.uniform(0, 1, (2, *shape)))
+
+
 def test_peak_memory_does_not_grow_with_iterations():
     # Only the live report keeps a gradient, so a longer run adds scalar loss
     # terms alone (each run below takes all its iterations).

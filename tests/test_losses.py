@@ -1,4 +1,7 @@
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from oracles import (
     texture_loss_naive,
     total_loss_naive,
 )
+from wavefuse import fusionopt
 from wavefuse import losses as L
 from wavefuse.errors import ShapeError
 from wavefuse.imageio import check_images
@@ -49,6 +53,38 @@ class TestFilters:
             lhs = (L.filt(x, k) * y).sum()
             rhs = (x * L.filt_adjoint(y, k)).sum()
             assert abs(lhs - rhs) < 1e-9
+
+    def test_same_output_on_one_cpu(self, rng, tmp_path):
+        # A process pinned to one CPU runs BLAS on one thread. The banded
+        # products are small enough to run on one thread here too, so the
+        # filters, their adjoints and optimize give the same bits.
+        x = rng.uniform(0.0, 1.0, (512, 512))
+        np.save(tmp_path / "x.npy", x)
+        child = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import numpy as np\n"
+            "from wavefuse import fusionopt, losses as L\n"
+            "x = np.load(sys.argv[2])\n"
+            "ks = (L.gaussian_window(), L.SOBEL_Y)\n"
+            "outs = [f(x, k) for f in (L.filt, L.filt_adjoint) for k in ks]\n"
+            "cfg = fusionopt.OptConfig(max_iters=3)\n"
+            "outs.append(fusionopt.optimize(x[:128, :128], x[128:256, :128], cfg)[0])\n"
+            "np.savez(sys.argv[3], *outs)\n"
+        )
+        src = str(Path(L.__file__).resolve().parent.parent)
+        out = tmp_path / "one.npz"
+        subprocess.run([sys.executable, "-c", child, src, tmp_path / "x.npy", out],
+                       check=True, timeout=120)
+        ks = (L.gaussian_window(), L.SOBEL_Y)
+        here = [f(x, k) for f in (L.filt, L.filt_adjoint) for k in ks]
+        here.append(fusionopt.optimize(x[:128, :128], x[128:256, :128],
+                                       fusionopt.OptConfig(max_iters=3))[0])
+        with np.load(out) as one:
+            assert len(one.files) == len(here)
+            for i, want in enumerate(here):
+                assert np.array_equal(one[f"arr_{i}"], want), i
 
 
 # Heights and widths of the strip tests, as a function of the rows per strip
@@ -99,7 +135,8 @@ class TestStrips:
         assert np.array_equal(got, want)
 
     def test_many_strips_match_loop_oracle(self, monkeypatch, rng):
-        # Four output rows per strip: a 23-row image takes six strips.
+        # A budget of a few rows per strip, rounded up to one tile of rows: a
+        # 23-row image takes two strips.
         monkeypatch.setattr(L, "_STRIP_BYTES", 4 * 8 * (30 + 10))
         x = rng.standard_normal((23, 30))
         got = L.filt(x, L.gaussian_window())

@@ -333,3 +333,38 @@ class TestBandStudy:
         z = np.zeros((23, 24))
         with pytest.raises(ShapeError):
             M.band_correlation_study(z, z, z)
+
+    def test_smallest_accepted_size(self):
+        # 22x22 makes 11x11 bands, SSIM's smallest; one pixel less, or two to
+        # keep the sides even, raises.
+        g = np.random.default_rng(14)
+        a, b, f = g.uniform(0, 1, (3, 22, 22))
+        rows = M.band_correlation_study(a, b, f)
+        ab, fb = (dwt2(x[None, None])[:, 0, 0] for x in (a, f))
+        assert rows[0][2] == pytest.approx(ssim_naive(ab[0], fb[0]), abs=1e-10)
+        for shape in ((21, 22), (22, 21), (20, 22), (22, 20)):
+            with pytest.raises(ShapeError):
+                M.band_correlation_study(*g.uniform(0, 1, (3, *shape)))
+
+
+# The smallest side each metric accepts. At these sizes every filter runs on
+# one partial tile.
+MIN_SIDES = {
+    "ssim": (lambda a, b, f: ssim(f, a), lambda a, b, f: ssim_naive(f, a), 11),
+    "q_w": (M.q_w, qw_naive, 8),
+    "q_abf": (M.q_abf, qabf_naive, 3),
+    "fmi": (M.fmi, fmi_naive, 3),
+}
+
+
+@pytest.mark.parametrize("name", MIN_SIDES)
+def test_smallest_accepted_size(name):
+    # The smallest square is scored as its oracle scores it; one pixel less
+    # on either side raises.
+    fn, oracle, n = MIN_SIDES[name]
+    g = np.random.default_rng(13)
+    a, b, f = g.uniform(0, 1, (3, n, n))
+    assert fn(a, b, f) == pytest.approx(oracle(a, b, f), abs=1e-10)
+    for shape in ((n - 1, n), (n, n - 1)):
+        with pytest.raises(ShapeError):
+            fn(*g.uniform(0, 1, (3, *shape)))
