@@ -51,12 +51,12 @@ def window_merge(tok):
     return np.ascontiguousarray(x)
 
 
-def mhsa(q_src, k_src, v_src, w, heads):
+def mhsa(q_src, k_src, w, heads):
     """Multi-head attention over window token stacks.
 
-    w = (wq, wk, wv, wo), each (C, C): wq/wk/wv project the respective source
-    stacks; the heads (which must divide C) are concatenated and mapped
-    through wo.
+    w = (wq, wk, wv, wo), each (C, C): wk projects k_src into keys, and wq and
+    wv project q_src into queries and values; the heads (which must divide C)
+    are concatenated and mapped through wo.
     """
     wq, wk, wv, wo = w
     nwin, t, c = q_src.tokens.shape
@@ -69,7 +69,7 @@ def mhsa(q_src, k_src, v_src, w, heads):
     # The logits set the forward's peak: V is made only once Q and K are gone.
     del q, k
     attn = softmax_rows(attn)
-    v = (v_src.tokens @ wv).reshape(nwin, t, h, d).transpose(0, 2, 1, 3)
+    v = (q_src.tokens @ wv).reshape(nwin, t, h, d).transpose(0, 2, 1, 3)
     out = attn @ v
     del attn, v
     return replace(q_src, tokens=out.transpose(0, 2, 1, 3).reshape(nwin, t, c) @ wo)
@@ -88,7 +88,7 @@ def cross_modal_attention(tok1, tok2, w1, w2, heads, route):
     toks, ws = (tok1, tok2), (w1, w2)
     # outs[m]: Q, V and wo from modality m, K from the other one.
     outs = [
-        mhsa(toks[m], toks[1 - m], toks[m], (ws[m][0], ws[1 - m][1], *ws[m][2:]), heads)
+        mhsa(toks[m], toks[1 - m], (ws[m][0], ws[1 - m][1], *ws[m][2:]), heads)
         for m in (0, 1)
     ]
     if route == "qv":

@@ -229,8 +229,10 @@ def cmd_analyze_bands(args):
 
 
 def cmd_gradcheck(args):
+    n = args.size  # the check runs before the three n x n images exist, so it counts them
+    _check_memory("gradient-checking", (n, n), losses.gradcheck_peak_bytes(n, n) + 3 * 8 * n * n)
     rng = np.random.default_rng(args.seed)
-    f, a, b = (smooth_image(rng, args.size) for _ in range(3))
+    f, a, b = (smooth_image(rng, n) for _ in range(3))
     err = losses.gradcheck(f, a, b, seed=args.seed)
     print(f"max relative gradient error: {err:.3e}")
     return EXIT_OK if err < 1e-4 else EXIT_INTERNAL

@@ -333,3 +333,11 @@ def gradcheck(f, a, b, w=LossWeights(), seed=0):
         err = abs(ana - num) / max(abs(ana), abs(num), 1e-8)
         worst = max(worst, err)
     return worst
+
+
+def gradcheck_peak_bytes(h, w):
+    """Estimated peak bytes gradcheck allocates on an h x w triple: 18 images,
+    met in a finite difference's loss_total. Its 13-image working set sits
+    beside the analytic gradient, the two perturbed copies and the kink-free
+    pixel indices (two int64 per pixel at most)."""
+    return 18 * 8 * h * w

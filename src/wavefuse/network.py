@@ -4,7 +4,7 @@ blocks, the fusion/reconstruction head, and weight (de)serialization.
 Weights live in a flat name -> float64 array map validated against the schema
 implied by the configuration. The binary container is versioned, little-endian
 and CRC-protected, and it records the whole NetConfig next to the tensors, so
-load_weights returns a checked (weights, cfg) pair (see save_weights).
+load_weights returns a checked (weights, cfg) pair (see _header).
 """
 
 import math
@@ -24,6 +24,7 @@ MAGIC = b"WFW1"
 VERSION = 2
 SLOPE = 0.1  # negative slope of every Leaky-ReLU
 SIZES = ("channels", "blocks", "window", "heads", "reduction", "mlp_ratio")
+_REMAKE = "re-create the file with `wavefuse init-weights`"
 
 
 @dataclass(frozen=True)
@@ -85,12 +86,9 @@ def weight_schema(cfg):
 def validate_weights(weights, cfg):
     """Reject unknown, missing, mis-shaped or non-finite entries."""
     schema = weight_schema(cfg)
-    unknown = sorted(set(weights) - set(schema))
-    if unknown:
-        raise FormatError(f"unknown weight names: {unknown}")
-    missing = sorted(set(schema) - set(weights))
-    if missing:
-        raise FormatError(f"missing weight names: {missing}")
+    for kind, bad in (("unknown", weights.keys() - schema), ("missing", schema.keys() - weights)):
+        if bad:
+            raise FormatError(f"{kind} weight names: {sorted(bad)}")
     for name, shape in schema.items():
         if weights[name].shape != shape:
             raise FormatError(f"weight {name} has shape {weights[name].shape}, expected {shape}")
@@ -99,14 +97,13 @@ def validate_weights(weights, cfg):
 
 
 def init_weights(cfg, seed):
-    """Seeded uniform +-1/sqrt(fan_in) init; layer-norm gains 1, shifts 0."""
+    """Seeded uniform +-1/sqrt(fan_in) init of every matrix and kernel; of the
+    rank-1 tensors, the layer-norm gains are 1 and the biases and shifts 0."""
     rng = np.random.default_rng(seed)
     weights = {}
     for name, shape in sorted(weight_schema(cfg).items()):
-        if name.endswith(".gain"):
-            weights[name] = np.ones(shape)
-        elif name.endswith((".shift", "bias", ".sa_b", ".b1", ".b2")):
-            weights[name] = np.zeros(shape)
+        if len(shape) == 1:
+            weights[name] = np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
         else:
             bound = 1.0 / np.sqrt(math.prod(shape[1:]))  # 1 / sqrt(fan_in)
             weights[name] = rng.uniform(-bound, bound, size=shape)
@@ -216,24 +213,25 @@ def forward(i1, i2, weights, cfg):
     return np.clip(x[0, 0], 0.0, 1.0)
 
 
-def save_weights(weights, cfg, path):
-    """Binary container: magic, u32 version, the config (six u32 sizes in
-    SIZES order, then a u8 length and the UTF-8 route), u32 tensor count, a
-    name/shape table, f64 little-endian payloads in table order, trailing
-    CRC32 of everything before it."""
-    names = sorted(weights)
+def _header(cfg, shapes):
+    """The bytes before the payloads: magic, u32 version, the config (six u32
+    sizes in SIZES order, a u8 length and the UTF-8 route), u32 tensor count,
+    and per name in sorted order a u16 length, the UTF-8 name, u8 rank, u32 dims."""
     route = cfg.cross_route.encode("utf-8")
-    body = bytearray(MAGIC)
-    body += struct.pack("<7I", VERSION, *(getattr(cfg, f) for f in SIZES))
-    body += struct.pack("<B", len(route)) + route
-    body += struct.pack("<I", len(names))
-    for name in names:
-        arr = weights[name]
-        enc = name.encode("utf-8")
-        body += struct.pack("<H", len(enc)) + enc
-        body += struct.pack("<B", arr.ndim)
-        body += struct.pack("<%dI" % arr.ndim, *arr.shape)
-    for name in names:
+    head = bytearray(MAGIC)
+    head += struct.pack("<7IB", VERSION, *(getattr(cfg, f) for f in SIZES), len(route))
+    head += route + struct.pack("<I", len(shapes))
+    for name in sorted(shapes):
+        enc, shape = name.encode("utf-8"), shapes[name]
+        head += struct.pack(f"<H{len(enc)}sB{len(shape)}I", len(enc), enc, len(shape), *shape)
+    return head
+
+
+def save_weights(weights, cfg, path):
+    """_header's bytes, the f64 little-endian payloads in table order, and a
+    trailing CRC32 of everything before it."""
+    body = _header(cfg, {name: arr.shape for name, arr in weights.items()})
+    for name in sorted(weights):
         body += np.ascontiguousarray(weights[name], dtype="<f8").tobytes()
     body += struct.pack("<I", zlib.crc32(body))
     with open(path, "wb") as fh:
@@ -241,8 +239,8 @@ def save_weights(weights, cfg, path):
 
 
 def load_weights(path):
-    """Read a weights file as (weights, cfg): the tensors and the NetConfig
-    it records, checked against each other. Raises FormatError otherwise."""
+    """Read a weights file as (weights, cfg): the NetConfig it records and
+    the tensors after that config's _header. Raises FormatError otherwise."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 12:
@@ -254,39 +252,30 @@ def load_weights(path):
         raise FormatError("CRC mismatch: weights file corrupted")
     (version,) = struct.unpack_from("<I", body, 4)
     if version != VERSION:
-        raise FormatError(
-            f"unsupported weights version {version}, expected {VERSION}: "
-            "re-create the file with `wavefuse init-weights`"
-        )
+        raise FormatError(f"unsupported weights version {version}, expected {VERSION}: {_REMAKE}")
     try:
-        sizes = struct.unpack_from("<6I", body, 8)
-        (rlen,) = struct.unpack_from("<B", body, 32)
+        *sizes, rlen = struct.unpack_from("<6IB", body, 8)
         route = body[33 : 33 + rlen].decode("utf-8")
         (count,) = struct.unpack_from("<I", body, 33 + rlen)
-        pos = 37 + rlen
-        table = []
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", body, pos)
-            name = body[pos + 2 : pos + 2 + nlen].decode("utf-8")
-            (rank,) = struct.unpack_from("<B", body, pos + 2 + nlen)
-            pos += 3 + nlen
-            table.append((name, struct.unpack_from("<%dI" % rank, body, pos)))
-            pos += 4 * rank
-        weights = {}
-        for name, shape in table:
-            end = pos + 8 * math.prod(shape)
-            if end > len(body):
-                raise FormatError(f"truncated payload for tensor {name}")
-            weights[name] = np.frombuffer(body[pos:end], "<f8").astype(np.float64).reshape(shape)
-            pos = end
         cfg = NetConfig(**dict(zip(SIZES, sizes)), cross_route=route)
+        # Each tensor takes at least a 3-byte table entry and an 8-byte payload.
+        if not cfg.blocks <= count <= len(body) // 11:  # bounds the schema built next
+            raise ValueError(f"{cfg.blocks} blocks and {count} tensors in {len(body)} bytes")
+        schema = weight_schema(cfg)
+        head = _header(cfg, schema)
     except (struct.error, ValueError, ShapeError) as exc:
         raise FormatError(f"malformed weights file: {exc}") from exc
-    if pos != len(body):
-        raise FormatError(f"{len(body) - pos} trailing bytes after payloads")
-    if len(weights) != count:
-        raise FormatError(f"{count - len(weights)} duplicate tensor names in table")
-    if cfg.blocks > count:  # bounds the schema validate_weights builds
-        raise FormatError(f"{cfg.blocks} blocks recorded but only {count} tensors")
-    validate_weights(weights, cfg)
+    if body[: len(head)] != head:
+        at = next((i for i, (x, y) in enumerate(zip(body, head)) if x != y), len(body))
+        raise FormatError(f"weights table differs from its config's schema at byte {at}: {_REMAKE}")
+    names = sorted(schema)
+    sizes = [math.prod(schema[name]) for name in names]
+    if len(body) != len(head) + 8 * sum(sizes):
+        raise FormatError(f"{len(body) - len(head)} payload bytes, expected {8 * sum(sizes)}")
+    flat = np.frombuffer(body, "<f8", offset=len(head)).astype(np.float64)
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    weights = {name: part.reshape(schema[name]) for name, part in zip(names, parts)}
+    for name in names:
+        if not np.isfinite(weights[name]).all():
+            raise FormatError(f"weight {name} has non-finite values")
     return weights, cfg

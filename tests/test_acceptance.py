@@ -60,7 +60,7 @@ def test_criterion_02_attention_invariants():
     p = tuple(g.standard_normal((c, c)) for _ in range(4))  # wq, wk, wv, wo
     tok = window_partition(x, 8, 0)
     o1, o2 = cross_modal_attention(tok, window_partition(x.copy(), 8, 0), p, p, 2, "qv")
-    plain = window_merge(mhsa(tok, tok, tok, p, 2))
+    plain = window_merge(mhsa(tok, tok, p, 2))
     ok &= bool(np.abs(o1 - plain).max() < 1e-12)
     ok &= bool(np.abs(o2 - plain).max() < 1e-12)
 

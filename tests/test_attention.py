@@ -75,14 +75,14 @@ class TestMhsa:
         x = rng.standard_normal((1, 8, 8, 8))
         tok = att.window_partition(x, 4, 0)
         wq, wk, _, wo = random_params(rng)
-        out = att.mhsa(tok, tok, tok, (wq, wk, np.zeros((8, 8)), wo), 2)
+        out = att.mhsa(tok, tok, (wq, wk, np.zeros((8, 8)), wo), 2)
         assert np.abs(out.tokens).max() == 0.0
 
     def test_single_token_window(self, rng):
         x = rng.standard_normal((1, 8, 1, 1))
         tok = att.window_partition(x, 1, 0)
         p = random_params(rng)
-        out = att.mhsa(tok, tok, tok, p, 2)
+        out = att.mhsa(tok, tok, p, 2)
         want = x[0, :, 0, 0] @ p[2] @ p[3]
         assert np.allclose(out.tokens[0, 0], want, atol=1e-12)
 
@@ -100,19 +100,19 @@ class TestMhsa:
         x = rng.standard_normal((1, 8, 4, 4))
         tok = att.window_partition(x, 4, 0)
         p = random_params(rng)
-        base = att.mhsa(tok, tok, tok, p, 2).tokens
+        base = att.mhsa(tok, tok, p, 2).tokens
         perm = rng.permutation(16)
         from dataclasses import replace
 
         tok_p = replace(tok, tokens=tok.tokens[:, perm, :])
-        out_p = att.mhsa(tok_p, tok_p, tok_p, p, 2).tokens
+        out_p = att.mhsa(tok_p, tok_p, p, 2).tokens
         assert np.allclose(out_p, base[:, perm, :], atol=1e-12)
 
 
 class TestCrossModalAttention:
     def plain_self_attention(self, x, p, w, shift):
         tok = att.window_partition(x, w, shift)
-        return att.window_merge(att.mhsa(tok, tok, tok, p, 2))
+        return att.window_merge(att.mhsa(tok, tok, p, 2))
 
     def test_identical_inputs_reduce_to_self_attention(self, rng):
         x = rng.standard_normal((1, 8, 8, 8))

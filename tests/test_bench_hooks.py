@@ -1,9 +1,10 @@
 """The benchmark's span counters (perfbench/layers.py) read layer arguments by
 name: mhsa's q_src, conv2d's x and kernel, softmax_rows' m and enhance_block's
 f1 and cfg. A signature change that renames one of them breaks the traced
-benchmark run; this test runs the same hooks on one small forward. The traced
-score workload asserts exact span counts, which a new public helper would
-change; the second test counts them on a small triple, and the third the
+benchmark run; the first test runs the same hooks on two small forwards. The
+traced workloads assert exact span counts, which a new public helper would
+change; the first test counts the forward's, the second score's on a small
+triple, and the third the
 loss path's counts on a short optimize run. The optimizer counts tell step
 bases from rejected candidates by the identity of the reports loss_total
 returned; the fourth test holds optimize to that."""
@@ -22,19 +23,23 @@ from wavefuse import fusionopt, metrics, network  # noqa: E402
 
 
 def test_traced_forward_feeds_every_counter(rng):
+    # The net workloads' table of spans per forward, on a window-aligned pair
+    # and on one that takes net-small's mirror-pad and crop path.
     modules = {m: importlib.import_module(f"wavefuse.{m}") for m in layers.MODULES}
     cfg = network.NetConfig()
     weights = network.init_weights(cfg, 0)
-    a, b = rng.uniform(0, 1, (2, 32, 32))
-    tracer = spans.Tracer()
-    with spans.instrument(
-        tracer, modules, [wavefuse, *modules.values()], on_call=layers.COUNTERS
-    ):
-        out = network.forward(a, b, weights, cfg)
-    assert out.shape == (32, 32)
-    assert tracer.get("attention.mhsa").calls == 16
-    for counter in ("mhsa.flop", "conv2d.flop", "softmax.bytes", "pad.real_px"):
-        assert tracer.counters.get(counter, 0.0) > 0, counter
+    for shape in ((32, 32), (33, 47)):
+        a, b = rng.uniform(0, 1, (2, *shape))
+        tracer = spans.Tracer()
+        with spans.instrument(
+            tracer, modules, [wavefuse, *modules.values()], on_call=layers.COUNTERS
+        ):
+            out = network.forward(a, b, weights, cfg)
+        assert out.shape == shape
+        for name, want in workloads.NetFuse.CALLS_PER_FORWARD.items():
+            assert tracer.get(name).calls == want, (shape, name)
+        for counter in ("mhsa.flop", "conv2d.flop", "softmax.bytes", "pad.real_px"):
+            assert tracer.counters.get(counter, 0.0) > 0, (shape, counter)
     assert not hasattr(network.forward, "__wrapped__")  # bindings restored
 
 

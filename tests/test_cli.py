@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import smooth_image
-from wavefuse import cli, fusionopt, metrics, network, wavelet
+from wavefuse import cli, fusionopt, losses, metrics, network, wavelet
 from wavefuse.errors import FormatError
 from wavefuse.imageio import load_pnm, rgb_to_ycbcr, save_pnm, ycbcr_to_rgb
 from wavefuse.wavelet import dwt2
@@ -181,17 +181,19 @@ class TestFuse:
         assert cli.main(["fuse", a, b, "--weights", str(bad), "-o", str(tmp / "x.pgm")]) == 3
         assert "init-weights" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit, message", [
-        ("trailing_bytes", "8 trailing bytes after payloads"),
-        ("duplicate_name", "1 duplicate tensor names"),
-    ])
-    def test_malformed_table_exit_3(self, images, weights_path, edit, message, capsys):
+    @pytest.mark.parametrize("edit", ["trailing_bytes", "duplicate_name"])
+    def test_malformed_table_exit_3(self, images, weights_path, edit, capsys):
         # The CRC is recomputed, so the check under test is the one that fires.
         a, b, tmp = images
         body = Path(weights_path).read_bytes()[:-4]
         if edit == "trailing_bytes":
+            w, _ = network.load_weights(weights_path)
+            n = sum(arr.nbytes for arr in w.values())
+            message = f"{n + 8} payload bytes, expected {n}"
             body += bytes(8)
-        else:  # mlp.w1 and mlp.w2 hold as many values, so every offset still fits
+        else:  # the renamed tensor's last name byte is the first that differs
+            at = body.index(b"block0.s1.mlp.w2") + len("block0.s1.mlp.w")
+            message = f"schema at byte {at}: re-create the file with `wavefuse init-weights`"
             body = body.replace(b"block0.s1.mlp.w2", b"block0.s1.mlp.w1", 1)
         bad = tmp / "bad.wfw"
         bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
@@ -445,7 +447,7 @@ def traced_peak(fn, *args):
 
 
 @pytest.mark.parametrize("h, w", [(64, 64), (256, 256), (300, 200)])
-def test_peak_bytes_match_traced_peaks(h, w):
+def test_peak_bytes_match_traced_peaks(h, w, monkeypatch):
     a, b = np.random.default_rng(3).uniform(0, 1, (2, h, w))
     f = 0.5 * (a + b)
     opt = traced_peak(fusionopt.optimize, a, b, fusionopt.OptConfig(max_iters=3))
@@ -454,31 +456,39 @@ def test_peak_bytes_match_traced_peaks(h, w):
     assert abs(metrics.peak_bytes(h, w) / scoring - 1.0) <= 0.15
     study = traced_peak(metrics.band_correlation_study, a, b, f)
     assert abs(metrics.study_peak_bytes(h, w) / study - 1.0) <= 0.15
+    # Each finite difference reaches the same peak: two are as good as 64, and quicker.
+    monkeypatch.setattr(losses, "GRADCHECK_SAMPLES", 2)
+    check = traced_peak(losses.gradcheck, f, a, b)
+    assert abs(losses.gradcheck_peak_bytes(h, w) / check - 1.0) <= 0.15
 
 
-@pytest.mark.parametrize("command", ["fuse", "fuse-opt", "metrics", "analyze-bands"])
+@pytest.mark.parametrize("command", ["fuse", "fuse-opt", "metrics", "analyze-bands", "gradcheck"])
 def test_refuses_a_job_larger_than_the_headroom(command, tmp_path, weights_path, monkeypatch,
                                                  capsys):
     # Each command's estimate at 128x128 exceeds its fake headroom: 1 MiB,
     # or 256 KiB for the band study's 555 KiB. Each exits 2 before any work,
-    # names both figures, in KiB below 1 MiB, and writes nothing.
+    # names both figures, in KiB below 1 MiB, and writes nothing. gradcheck's
+    # estimate also counts the three images it makes.
     g = np.random.default_rng(4)
     a, b = (write_image(tmp_path / f"{m}.pgm", smooth_image(g, 128)) for m in "ab")
     out = tmp_path / "out"
     fuse_need = network.peak_bytes(128, 128, network.load_weights(weights_path)[1])
     argv, need, room, text = {
-        "fuse": (["--weights", weights_path, "-o", str(out)], fuse_need, 2**20,
+        "fuse": ([a, b, "--weights", weights_path, "-o", str(out)], fuse_need, 2**20,
                  f"{fuse_need / 2**20:.1f} MiB, more than the 1.0 MiB"),
-        "fuse-opt": (["-o", str(out), "--trace", str(tmp_path / "trace.csv")],
+        "fuse-opt": ([a, b, "-o", str(out), "--trace", str(tmp_path / "trace.csv")],
                      fusionopt.peak_bytes(128, 128), 2**20, "2.0 MiB, more than the 1.0 MiB"),
-        "metrics": ([a], metrics.peak_bytes(128, 128), 2**20, "2.0 MiB, more than the 1.0 MiB"),
-        "analyze-bands": ([a, "--out", str(out)], metrics.study_peak_bytes(128, 128), 2**18,
-                          "555 KiB, more than the 256 KiB"),
+        "metrics": ([a, b, a], metrics.peak_bytes(128, 128), 2**20,
+                    "2.0 MiB, more than the 1.0 MiB"),
+        "analyze-bands": ([a, b, a, "--out", str(out)], metrics.study_peak_bytes(128, 128),
+                          2**18, "555 KiB, more than the 256 KiB"),
+        "gradcheck": (["--size", "128"], losses.gradcheck_peak_bytes(128, 128) + 3 * 8 * 128**2,
+                      2**20, "2.6 MiB, more than the 1.0 MiB"),
     }[command]
     assert need > room
     before = set(tmp_path.iterdir())
     monkeypatch.setattr(cli, "_headroom", lambda: room)
-    assert cli.main([command, a, b, *argv]) == 2
+    assert cli.main([command, *argv]) == 2
     captured = capsys.readouterr()
     assert f"needs about {text} this process can still allocate" in captured.err
     assert captured.out == ""

@@ -107,8 +107,19 @@ def test_crafted_records_raise_format_error(files, offset, fmt, value, message):
     assert exc is not None and message in str(exc)
 
 
+def test_record_of_as_many_blocks_as_tensors(files):
+    # Blocks no more than the tensors still bound the schema by the file's size.
+    body = bytearray(files[0]["w.wfw"][:-4])
+    for offset in (12, 34):  # blocks, and the tensor count after the route "k"
+        struct.pack_into("<I", body, offset, 2**32 - 1)
+    exc = _load(files, "w.wfw", _with_crc(body))
+    assert "malformed weights file: 4294967295 blocks and 4294967295 tensors" in str(exc)
+
+
 def test_shape_whose_size_overflows_int64(files):
     # 8 * (2**32 - 1) * (2**31 + 1) bytes wraps negative in int64 arithmetic.
+    # The loader sizes nothing from the file's table: its tensor count is
+    # already not CFG's.
     table = struct.pack("<IH", 1, 1) + b"x" + struct.pack("<B2I", 2, 2**32 - 1, 2**31 + 1)
     data = _with_crc(files[0]["w.wfw"][:34] + table + bytes(16))
-    assert "truncated payload" in str(_load(files, "w.wfw", data))
+    assert "schema at byte 34" in str(_load(files, "w.wfw", data))

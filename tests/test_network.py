@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import zero_weights
 from oracles import enhance_block_naive, forward_naive
@@ -388,6 +390,52 @@ class TestSerialization:
             assert np.array_equal(back[name], w[name])
             assert back[name].dtype == np.float64
 
+    def test_file_bytes(self, tmp_path):
+        # README's layout, packed field by field: magic, version, the record,
+        # the count, the name/shape table, the payloads in name order, the CRC.
+        cfg = net.NetConfig(channels=2, blocks=1, window=2, heads=2, reduction=1, cross_route="k")
+        w = net.init_weights(cfg, 0)
+        names = sorted(w)
+        want = b"WFW1" + struct.pack("<I6IB", 2, 2, 1, 2, 2, 1, 2, 1) + b"k"
+        want += struct.pack("<I", len(names))
+        for name in names:
+            shape = w[name].shape
+            want += struct.pack("<H", len(name)) + name.encode("utf-8")
+            want += struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+        for name in names:
+            want += w[name].astype("<f8").tobytes()
+        want += struct.pack("<I", zlib.crc32(want))
+        path = tmp_path / "w.wfw"
+        net.save_weights(w, cfg, path)
+        assert path.read_bytes() == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(1, 2),
+        heads=st.integers(1, 3),
+        reduction=st.integers(1, 3),
+        blocks=st.integers(1, 2),
+        window=st.integers(1, 4),
+        mlp_ratio=st.integers(1, 3),
+        route=st.sampled_from(["qv", "k"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_roundtrip_over_configs(self, tmp_path_factory, k, heads, reduction, blocks, window,
+                                    mlp_ratio, route, seed):
+        channels = k * heads * reduction
+        cfg = net.NetConfig(channels, blocks, window, heads, reduction, mlp_ratio, route)
+        g = np.random.default_rng(seed)
+        w = {n: g.standard_normal(s) for n, s in net.weight_schema(cfg).items()}
+        path = tmp_path_factory.mktemp("roundtrip") / "w.wfw"
+        net.save_weights(w, cfg, path)
+        back, got = net.load_weights(path)
+        assert got == cfg
+        assert back.keys() == w.keys()
+        assert all(np.array_equal(back[n], w[n]) and back[n].dtype == np.float64 for n in w)
+        again = path.with_name("again.wfw")
+        net.save_weights(back, got, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "w.wfw"
         net.save_weights(zero_weights(SMALL), SMALL, path)
@@ -448,16 +496,19 @@ class TestSerialization:
 
     def test_trailing_bytes_after_payloads(self, tmp_path):
         path = tmp_path / "w.wfw"
-        net.save_weights(net.init_weights(SMALL, 0), SMALL, path)
+        w = net.init_weights(SMALL, 0)
+        net.save_weights(w, SMALL, path)
         self.resealed(path, path.read_bytes()[:-4] + b"\x00" * 8)
-        with pytest.raises(FormatError, match="8 trailing bytes after payloads"):
+        n = sum(arr.nbytes for arr in w.values())
+        with pytest.raises(FormatError, match=f"{n + 8} payload bytes, expected {n}"):
             net.load_weights(path)
 
     def test_table_that_names_one_tensor_twice(self, tmp_path):
         path = tmp_path / "w.wfw"
         net.save_weights({"x": np.zeros(1), "y": np.ones(1)}, SMALL, path)
         self.resealed(path, path.read_bytes()[:-4].replace(b"\x01\x00y", b"\x01\x00x"))
-        with pytest.raises(FormatError, match="1 duplicate tensor names"):
+        # The tensor count (2, where SMALL's schema has 98) is the first byte that differs.
+        with pytest.raises(FormatError, match="schema at byte 35: re-create the file"):
             net.load_weights(path)
 
     def test_name_that_is_no_utf8(self, tmp_path):
@@ -465,5 +516,6 @@ class TestSerialization:
         net.save_weights({"\u00e9": np.zeros(1)}, SMALL, path)
         body = path.read_bytes()[:-4].replace("\u00e9".encode(), b"\xff\xfe")
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-        with pytest.raises(FormatError, match="utf-8"):
+        # One tensor cannot hold SMALL's two blocks: the loader reads no name.
+        with pytest.raises(FormatError, match="malformed weights file: 2 blocks and 1 tensors"):
             net.load_weights(path)
