@@ -10,7 +10,7 @@ load_weights returns a checked (weights, cfg) pair (see _header).
 import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -238,6 +238,12 @@ def save_weights(weights, cfg, path):
         fh.write(body)
 
 
+def _compare_table(body, head):
+    if body[: len(head)] != head:
+        at = next((i for i, (x, y) in enumerate(zip(body, head)) if x != y), len(body))
+        raise FormatError(f"weights table differs from its config's schema at byte {at}: {_REMAKE}")
+
+
 def load_weights(path):
     """Read a weights file as (weights, cfg): the NetConfig it records and
     the tensors after that config's _header. Raises FormatError otherwise."""
@@ -259,15 +265,19 @@ def load_weights(path):
         (count,) = struct.unpack_from("<I", body, 33 + rlen)
         cfg = NetConfig(**dict(zip(SIZES, sizes)), cross_route=route)
         # Each tensor takes at least a 3-byte table entry and an 8-byte payload.
-        if not cfg.blocks <= count <= len(body) // 11:  # bounds the schema built next
+        if not cfg.blocks <= count <= len(body) // 11:
             raise ValueError(f"{cfg.blocks} blocks and {count} tensors in {len(body)} bytes")
-        schema = weight_schema(cfg)
-        head = _header(cfg, schema)
+        # That bound still lets the schema hold 40 tensors per counted one, so
+        # the count is compared with the schema's, taken from its size at one
+        # and two blocks, before the schema is built.
+        one, two = (len(weight_schema(replace(cfg, blocks=n))) for n in (1, 2))
+        want = struct.pack("<I", one + (cfg.blocks - 1) * (two - one))
     except (struct.error, ValueError, ShapeError) as exc:
         raise FormatError(f"malformed weights file: {exc}") from exc
-    if body[: len(head)] != head:
-        at = next((i for i, (x, y) in enumerate(zip(body, head)) if x != y), len(body))
-        raise FormatError(f"weights table differs from its config's schema at byte {at}: {_REMAKE}")
+    _compare_table(body, body[: 33 + rlen] + want)
+    schema = weight_schema(cfg)
+    head = _header(cfg, schema)
+    _compare_table(body, head)
     names = sorted(schema)
     sizes = [math.prod(schema[name]) for name in names]
     if len(body) != len(head) + 8 * sum(sizes):

@@ -1,16 +1,15 @@
 """Dense (B, C, H, W) float64 kernels: convolution, softmax, layer norm over
 the channel axis, and the elementwise activations.
 
-All functions are deterministic. Every kernel but softmax_rows leaves its
-inputs unwritten; softmax_rows normalises a contiguous float64 argument in
-place (its one caller passes logits it owns) and splits the rows over the
-usable cores, with bit-identical results whatever the core count. The
+All functions are deterministic, and none keeps a thread of its own; their
+bits depend on the BLAS kernel, not on the core count. Every kernel but
+softmax_rows leaves its inputs unwritten; softmax_rows normalises a contiguous
+float64 argument in place (its one caller passes logits it owns). The
 canonical carrier is a contiguous numpy float64 array in (batch, channel,
 height, width) order; conv2d works channels-last inside and transposes back.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 
 import numpy as np
 
@@ -20,54 +19,46 @@ def conv2d(x, kernel, bias):
     kernel is (Cout, Cin, k, k), k odd, and bias (Cout,); the (k-1)//2 padding
     preserves the spatial size. Shapes are the caller's to match (forward's
     weight schema does), so none is checked here."""
-    cout, _, k, _ = kernel.shape
+    cout, cin, k, _ = kernel.shape
     b, _, h, w = x.shape
     pad = (k - 1) // 2
-    # One (B*H*W, Cin) @ (Cin, Cout) product per tap on a channels-last copy;
-    # no im2col buffer of k*k shifted copies is built.
-    xt = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    wp = w + 2 * pad
+    # The padded channels-last input, flattened over (row, column) with one
+    # extra zero row, so that tap (u, v) reads the contiguous slice at
+    # u * wp + v: one (B, h * wp, Cin) @ (Cin, Cout) product per tap, no im2col
+    # buffer. The wp - w wrap-around columns of each output row are cropped.
+    xt = np.zeros((b, h + 2 * pad + 1, wp, cin))
+    xt[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
+    flat = xt.reshape(b, -1, cin)
     taps = kernel.transpose(2, 3, 1, 0)
-    out = np.zeros((b, h, w, cout))
+    out = np.zeros((b, h * wp, cout))
     for u in range(k):
         for v in range(k):
-            out += xt[:, u : u + h, v : v + w, :] @ taps[u, v]
+            out += flat[:, u * wp + v : u * wp + v + h * wp] @ taps[u, v]
     out += bias
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-
-
-# Fewest elements per thread when softmax_rows splits: a 256² forward's calls
-# (4 M to 12 M logits) split; those of forwards up to 80² (≤ 1.2 M) do not.
-_MIN_PART = 2**20
-
-
-def _softmax_part(rows):
-    rows -= rows.max(axis=-1, keepdims=True)
-    np.exp(rows, out=rows)
-    rows /= rows.sum(axis=-1, keepdims=True)
+    return np.ascontiguousarray(out.reshape(b, h, wp, cout)[:, :, :w].transpose(0, 3, 1, 2))
 
 
 def softmax_rows(m):
-    """Row-wise softmax over the last axis, with max-subtraction for stability.
+    """Row-wise softmax over the last axis, in three passes over the logits.
 
     A C-contiguous float64 `m` is overwritten with its softmax and returned;
     any other input is converted to such a copy first, which is returned.
-    Inputs of at least 2 * _MIN_PART elements are split into contiguous blocks
-    of rows, one per usable core, on a pool that lives for this call only (a
-    forked child inherits no pool threads). Each row is computed exactly as in
-    a serial pass, so the result does not depend on the core count.
+    When every logit lies in (-700, 700 - ln n), n the row length, each exp is
+    a normal float and each row sum finite and at least e^-700, so the logits
+    are exponentiated as they are; otherwise each row's max is subtracted
+    first. The row sums are one matrix-vector product, and each row is scaled
+    by its sum's reciprocal.
     """
     m = np.ascontiguousarray(m, dtype=np.float64)
-    rows = m.reshape(-1, m.shape[-1])
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cpus = os.cpu_count() or 1
-    parts = max(1, min(cpus, len(rows), m.size // _MIN_PART))
-    if parts == 1:
-        _softmax_part(rows)
-        return m
-    with ThreadPoolExecutor(parts) as pool:
-        list(pool.map(_softmax_part, np.array_split(rows, parts)))
+    n = m.shape[-1]
+    rows = m.reshape(-1, n)
+    if rows.size and not (rows.min() > -700.0 and rows.max() < 700.0 - math.log(n)):
+        rows -= rows.max(axis=-1, keepdims=True)
+    np.exp(rows, out=rows)
+    s = rows @ np.ones(n)
+    np.reciprocal(s, out=s)
+    rows *= s[:, None]
     return m
 
 
@@ -75,9 +66,14 @@ def layer_norm(x, gain, shift, eps=1e-5):
     """Normalize the channel vector (axis 1) at every pixel of a (B, C, H, W)
     tensor to zero mean / unit variance, then apply the per-channel affine
     (gain, shift), each of shape (C,)."""
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gain[:, None, None] + shift[:, None, None]
+    # The same subtract, square, sum and divide as np.var, with the mean
+    # subtracted once and the rest done in place.
+    d = x - x.mean(axis=1, keepdims=True)
+    var = np.square(d).sum(axis=1, keepdims=True) / x.shape[1]
+    d /= np.sqrt(var + eps)
+    d *= gain[:, None, None]
+    d += shift[:, None, None]
+    return d
 
 
 def leaky_relu(x, slope):

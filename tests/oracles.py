@@ -3,6 +3,7 @@ values. Everything here is written as plain per-pixel loops, deliberately
 sharing no code with the vectorized library paths."""
 
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -70,19 +71,21 @@ def conv2d_naive(x, kernel, bias, padding):
     b, cin, h, w = x.shape
     cout = kernel.shape[0]
     k = kernel.shape[2]
+    # Channel vectors per pixel and per tap, as plain lists.
+    xs = x.transpose(0, 2, 3, 1).tolist()
+    ks = kernel.transpose(0, 2, 3, 1).tolist()
     out = np.zeros((b, cout, h, w))
     for bi in range(b):
         for co in range(cout):
             for i in range(h):
                 for j in range(w):
-                    s = bias[co]
-                    for ci in range(cin):
-                        for u in range(k):
-                            for v in range(k):
-                                ii = i + u - padding
-                                jj = j + v - padding
-                                if 0 <= ii < h and 0 <= jj < w:
-                                    s += x[bi, ci, ii, jj] * kernel[co, ci, u, v]
+                    s = float(bias[co])
+                    for u in range(k):
+                        for v in range(k):
+                            ii = i + u - padding
+                            jj = j + v - padding
+                            if 0 <= ii < h and 0 <= jj < w:
+                                s += sum(map(operator.mul, xs[bi][ii][jj], ks[co][u][v]))
                     out[bi, co, i, j] = s
     return out
 
@@ -327,6 +330,18 @@ def iwt2_naive(ll, lh, hl, hh):
 def matvec_naive(vec, m):
     """Row vector times matrix, both plain lists: out[o] = sum_i vec[i] m[i][o]."""
     return [sum(vec[i] * m[i][o] for i in range(len(vec))) for o in range(len(m[0]))]
+
+
+def softmax_naive(m):
+    """Row-wise softmax over the last axis, each row's max subtracted first."""
+    m = np.asarray(m, dtype=np.float64)
+    out = []
+    for row in m.reshape(-1, m.shape[-1]).tolist():
+        top = max(row)
+        ex = [math.exp(v - top) for v in row]
+        total = sum(ex)
+        out.append([e / total for e in ex])
+    return np.array(out).reshape(m.shape)
 
 
 def window_attention_naive(xq, xk, wq, wk, wv, wo, heads, w, shift):

@@ -348,8 +348,8 @@ class TestForward:
         reason="needs CPU affinity and at least two usable CPUs",
     )
     def test_same_output_on_one_cpu(self, rng, tmp_path):
-        # At 128² the high-band logits have 3.1 M elements, so softmax_rows
-        # splits them over the cores here and runs them whole on one CPU.
+        # BLAS threads (softmax_rows' row sums, conv2d's tap products) split
+        # the work over the cores here and not on one CPU; the bits agree.
         cfg = net.NetConfig()
         w = net.init_weights(cfg, 0)
         pair = rng.uniform(0, 1, (2, 128, 128))
@@ -510,6 +510,24 @@ class TestSerialization:
         # The tensor count (2, where SMALL's schema has 98) is the first byte that differs.
         with pytest.raises(FormatError, match="schema at byte 35: re-create the file"):
             net.load_weights(path)
+
+    def test_record_that_claims_as_many_blocks_as_the_file_allows(self, tmp_path):
+        # A default-config file whose record says blocks = tensors = len // 11
+        # passes the size bound; its schema would hold 40 tensors per block.
+        path = tmp_path / "w.wfw"
+        net.save_weights(net.init_weights(net.NetConfig(), 0), net.NetConfig(), path)
+        body = bytearray(path.read_bytes()[:-4])
+        for offset in (12, 35):  # blocks, and the tensor count after the route "qv"
+            struct.pack_into("<I", body, offset, len(body) // 11)
+        self.resealed(path, bytes(body))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="schema at byte 35"):
+                net.load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_name_that_is_no_utf8(self, tmp_path):
         path = tmp_path / "w.wfw"
