@@ -96,36 +96,21 @@ def cross_modal_attention(tok1, tok2, w1, w2, heads, route):
     return tuple(window_merge(o) for o in outs)
 
 
-def channel_attention(x, w1, w2):
-    """Sigmoid channel gate from pooled statistics, broadcast over space: a
-    biasless MLP (w1 is (C/r, C), w2 is (C, C/r)) shared by the avg and max
-    branches."""
-    avg = x.mean(axis=(2, 3))
-    mx = x.max(axis=(2, 3))
-
-    def mlp(v):
-        return np.maximum(v @ w1.T, 0.0) @ w2.T
-
-    gate = sigmoid(mlp(avg) + mlp(mx))
-    return x * gate[:, :, None, None]
-
-
-def spatial_attention(x, w, b):
-    """Sigmoid spatial gate from channel mean/max maps, broadcast over
-    channels; w (1, 2, 7, 7) and b (1,) are the 7x7 conv."""
-    maps = np.stack([x.mean(axis=1), x.max(axis=1)], axis=1)
-    gate = sigmoid(conv2d(maps, w, b))
-    return x * gate
-
-
 def frequency_interaction(low1, low2, high1, high2, g1, g2):
     """Recombine attended bands with a cross-modal swap of the detail bands.
 
     Stream 1 = (CA(low1), SA(high2)), stream 2 = (CA(low2), SA(high1)), each a
     (low, high) pair whose high holds the LH, HL, HH bands stacked along batch.
-    Stream m is gated by its own g = (ca_w1, ca_w2, sa_w, sa_b).
+    Stream m is gated by its own g = (ca_w1, ca_w2, sa_w, sa_b). CA scales each
+    channel by sigmoid(MLP(mean) + MLP(max)), pooled over space, where the
+    biasless MLP(v) = relu(v @ ca_w1.T) @ ca_w2.T (ca_w1 is (C/r, C), ca_w2
+    (C, C/r)). SA scales each pixel by sigmoid(conv2d(maps, sa_w, sa_b)), maps
+    the channel mean and max as two channels (sa_w (1, 2, 7, 7), sa_b (1,)).
     """
-    streams = ((low1, high2, g1), (low2, high1, g2))
-    return tuple(
-        (channel_attention(lo, *g[:2]), spatial_attention(hi, *g[2:])) for lo, hi, g in streams
-    )
+    out = []
+    for lo, hi, (ca_w1, ca_w2, sa_w, sa_b) in ((low1, high2, g1), (low2, high1, g2)):
+        pooled = np.stack([lo.mean(axis=(2, 3)), lo.max(axis=(2, 3))])
+        ca = sigmoid((np.maximum(pooled @ ca_w1.T, 0.0) @ ca_w2.T).sum(axis=0))
+        maps = np.stack([hi.mean(axis=1), hi.max(axis=1)], axis=1)
+        out.append((lo * ca[:, :, None, None], hi * sigmoid(conv2d(maps, sa_w, sa_b))))
+    return tuple(out)

@@ -6,6 +6,8 @@ RGB images are (H, W, 3). PNM is the only supported container: it is
 bit-exact and dependency free.
 """
 
+import re
+
 import numpy as np
 
 from .errors import PnmParseError, ShapeError
@@ -14,24 +16,16 @@ _KB = 0.114
 _KR = 0.299
 
 
+# Whitespace runs and '#' comments, then the token: an empty token is the end.
+_TOKEN = re.compile(rb"(?:\s+|#[^\n]*)*(\S*)")
+
+
 def _read_token(buf, pos):
-    # Skip whitespace and '#' comments, return (token, next position).
-    n = len(buf)
-    while pos < n:
-        c = buf[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < n and buf[pos : pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PnmParseError("unexpected end of header", pos)
-    start = pos
-    while pos < n and not buf[pos : pos + 1].isspace():
-        pos += 1
-    return buf[start:pos], pos
+    """Return (token, next position) of the header token at or after pos."""
+    m = _TOKEN.match(buf, pos)
+    if not m[1]:
+        raise PnmParseError("unexpected end of header", m.end())
+    return m[1], m.end()
 
 
 def load_pnm(path):

@@ -247,8 +247,9 @@ def band_correlation_study(a, b, f):
     mean over the three fused detail bands for the LL row.
     """
     a, b, f = check_images(a, b, f)
-    if min(a.shape) < 22 or a.shape[0] % 2 or a.shape[1] % 2:
-        raise ShapeError(f"band study needs even dims >= 22x22, got {a.shape}")
+    n = 2 * SSIM_WINDOW  # each band must hold one SSIM window
+    if min(a.shape) < n or a.shape[0] % 2 or a.shape[1] % 2:
+        raise ShapeError(f"band study needs even dims >= {n}x{n}, got {a.shape}")
     fb = dwt2(f[None, None])[:, 0, 0]
     rows = []
     for src, img in (("a", a), ("b", b)):

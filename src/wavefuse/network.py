@@ -285,7 +285,5 @@ def load_weights(path):
     flat = np.frombuffer(body, "<f8", offset=len(head)).astype(np.float64)
     parts = np.split(flat, np.cumsum(sizes)[:-1])
     weights = {name: part.reshape(schema[name]) for name, part in zip(names, parts)}
-    for name in names:
-        if not np.isfinite(weights[name]).all():
-            raise FormatError(f"weight {name} has non-finite values")
+    validate_weights(weights, cfg)
     return weights, cfg

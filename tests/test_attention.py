@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cross_modal_attention_naive
+from oracles import channel_gate_naive, cross_modal_attention_naive, spatial_gate_naive
 from wavefuse import attention as att
 from wavefuse.tensor import softmax_rows
 
@@ -165,37 +165,60 @@ class TestCrossModalAttention:
         assert np.array_equal(qv[0], k[1]) and np.array_equal(qv[1], k[0])
 
 
+def stream1(low, high, g):
+    """Stream 1 of frequency_interaction, (CA(low), SA(high)), under gates g."""
+    s1, _ = att.frequency_interaction(low, np.zeros_like(low), np.zeros_like(high), high, g, g)
+    return s1
+
+
 class TestCbam:
+    # The gates, one at a time: zero weights make the other gate 1/2.
     def test_zero_mlp_half_gate(self, rng):
         x = rng.standard_normal((2, 8, 4, 4))
-        out = att.channel_attention(x, *zero_cbam()[:2])
-        assert np.allclose(out, x / 2.0, atol=1e-15)
+        high = rng.standard_normal((6, 8, 4, 4))
+        ca, _ = stream1(x, high, (*zero_cbam()[:2], *random_cbam(rng)[2:]))
+        assert np.allclose(ca, x / 2.0, atol=1e-15)
 
     def test_zero_input(self, rng):
-        out = att.channel_attention(np.zeros((1, 8, 4, 4)), *random_cbam(rng)[:2])
-        assert np.abs(out).max() == 0.0
+        high = rng.standard_normal((3, 8, 4, 4))
+        ca, sa = stream1(np.zeros((1, 8, 4, 4)), high, (*random_cbam(rng)[:2], *zero_cbam()[2:]))
+        assert np.abs(ca).max() == 0.0
+        assert np.array_equal(sa, high / 2)
 
     def test_constant_input_gate(self, rng):
         w1, w2, _, _ = random_cbam(rng)
         x = np.full((1, 8, 5, 5), 0.3)
-        out = att.channel_attention(x, w1, w2)
+        high = rng.standard_normal((3, 8, 5, 5))
+        ca, sa = stream1(x, high, (w1, w2, *zero_cbam()[2:]))
         # avg-pool equals max-pool on constants, so the gate is sigmoid(2*MLP(c))
         v = np.full(8, 0.3)
         mlp = np.maximum(v @ w1.T, 0.0) @ w2.T
         gate = 1.0 / (1.0 + np.exp(-2.0 * mlp))
-        assert np.allclose(out[0, :, 0, 0], 0.3 * gate, atol=1e-12)
+        assert np.allclose(ca[0, :, 0, 0], 0.3 * gate, atol=1e-12)
+        assert np.array_equal(sa, high / 2)
 
     def test_spatial_zero_conv_half_gate(self, rng):
+        low = rng.standard_normal((1, 8, 6, 6))
         x = rng.standard_normal((1, 8, 6, 6))
-        out = att.spatial_attention(x, *zero_cbam()[2:])
-        assert np.allclose(out, x / 2.0, atol=1e-15)
+        _, sa = stream1(low, x, (*random_cbam(rng)[:2], *zero_cbam()[2:]))
+        assert np.allclose(sa, x / 2.0, atol=1e-15)
 
     def test_spatial_constant_gate(self, rng):
         _, _, w, b = random_cbam(rng)
+        low = rng.standard_normal((1, 8, 9, 9))
         x = np.full((1, 8, 9, 9), 0.4)
-        out = att.spatial_attention(x, w, b)
-        center = out[0, 0, 4, 4]
-        assert abs(out[0, 0, 4, 3] - center) < 1e-12
+        ca, sa = stream1(low, x, (*zero_cbam()[:2], w, b))
+        center = sa[0, 0, 4, 4]
+        assert abs(sa[0, 0, 4, 3] - center) < 1e-12
+        assert np.array_equal(ca, low / 2)
+
+    def test_matches_loop_oracles(self, rng):
+        low = rng.standard_normal((2, 8, 5, 6))
+        high = rng.standard_normal((6, 8, 5, 6))
+        g = random_cbam(rng)
+        ca, sa = stream1(low, high, g)
+        assert np.abs(ca - channel_gate_naive(low, *g[:2])).max() <= 1e-12
+        assert np.abs(sa - spatial_gate_naive(high, *g[2:])).max() <= 1e-12
 
 
 class TestFrequencyInteraction:

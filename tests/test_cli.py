@@ -14,7 +14,7 @@ import pytest
 
 from conftest import smooth_image
 from wavefuse import cli, fusionopt, losses, metrics, network, wavelet
-from wavefuse.errors import FormatError
+from wavefuse.errors import FormatError, WavefuseError
 from wavefuse.imageio import load_pnm, rgb_to_ycbcr, save_pnm, ycbcr_to_rgb
 from wavefuse.wavelet import dwt2
 
@@ -529,6 +529,18 @@ def test_memory_error_exit_2(command, images, weights_path, monkeypatch, capsys)
     assert captured.err.startswith("error: out of memory: Unable to allocate")
     assert captured.out == ""
     assert set(tmp.iterdir()) == before
+
+
+def test_package_error_exit_4(monkeypatch, capsys):
+    # A package error that no input or file check names is an internal error.
+    def broken(args):
+        raise WavefuseError("invariant broken")
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", broken)
+    assert cli.main(["gradcheck"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: invariant broken\n"
+    assert captured.out == ""
 
 
 # Paths the OS refuses: {dir} is a directory, {a} an existing file.

@@ -1,7 +1,8 @@
 """Static checks on the package source: no unused module-level import, no
 private module-level function that nothing calls, no public one that nothing
 outside its module names, no function parameter that the function never
-reads, and no image check below the exported API. Standard library only."""
+reads, no image check below the exported API, and no line over 100
+characters. Standard library only."""
 
 import ast
 from pathlib import Path
@@ -124,3 +125,13 @@ def test_only_exported_functions_check_images():
     assert not below, f"functions outside wavefuse.__all__ that call check_images: {below}"
     twice = [name for name, n in checks.items() if n > 1]
     assert not twice, f"functions that call check_images more than once: {twice}"
+
+
+def test_no_line_over_100_characters():
+    long = [
+        f"{path.name}:{n}"
+        for path in sorted(SRC.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert not long, f"lines over 100 characters: {long}"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import smooth_image
 from wavefuse import fusionopt, losses, metrics, network
@@ -81,6 +83,48 @@ def test_zero_dimension(tmp_path, dims):
     path.write_bytes(b"P5\n" + dims + b"\n255\n")
     with pytest.raises(PnmParseError, match="invalid dimensions"):
         io.load_pnm(path)
+
+
+def test_save_rejects_four_channels(tmp_path):
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\)"):
+        io.save_pnm(np.zeros((2, 3, 4)), tmp_path / "x.ppm")
+    assert not (tmp_path / "x.ppm").exists()
+
+
+# A separator between two header fields: a whitespace run, then '#' comments,
+# each ended by a newline and an optional whitespace run.
+_WS = st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]), max_size=6)
+_COMMENT = st.binary(max_size=12).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+_SEP = st.tuples(
+    _WS.filter(bool), st.lists(st.tuples(_COMMENT, _WS), max_size=3)
+).map(lambda t: b"".join(t[0]) + b"".join(c + b"".join(w) for c, w in t[1]))
+
+
+def _header(magic, seps):
+    """A 3x2 image's header: the four fields apart by seps, then one newline."""
+    return b"".join(f + s for f, s in zip((magic, b"3", b"2", b"255"), (*seps, b"\n")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(magic=st.sampled_from([b"P5", b"P6"]), seps=st.tuples(_SEP, _SEP, _SEP))
+def test_header_whitespace_and_comments_round_trip(tmp_path_factory, magic, seps):
+    payload = bytes(range(18 if magic == b"P6" else 6))
+    path = tmp_path_factory.mktemp("pnm") / "h.pnm"
+    path.write_bytes(_header(magic, seps) + payload)
+    got = io.load_pnm(path)
+    path.write_bytes(_header(magic, (b" ", b" ", b" ")) + payload)
+    assert np.array_equal(got, io.load_pnm(path))
+
+
+@settings(max_examples=20, deadline=None)
+@given(magic=st.sampled_from([b"P5", b"P6"]), seps=st.tuples(_SEP, _SEP, _SEP))
+def test_every_truncated_header_raises(tmp_path_factory, magic, seps):
+    head = _header(magic, seps)
+    path = tmp_path_factory.mktemp("pnm") / "t.pnm"
+    for n in range(len(head) + 1):
+        path.write_bytes(head[:n])
+        with pytest.raises(PnmParseError):
+            io.load_pnm(path)
 
 
 class TestYCbCr:

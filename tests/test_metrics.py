@@ -343,7 +343,7 @@ class TestBandStudy:
         ab, fb = (dwt2(x[None, None])[:, 0, 0] for x in (a, f))
         assert rows[0][2] == pytest.approx(ssim_naive(ab[0], fb[0]), abs=1e-10)
         for shape in ((21, 22), (22, 21), (20, 22), (22, 20)):
-            with pytest.raises(ShapeError):
+            with pytest.raises(ShapeError, match=r"band study needs even dims >= 22x22"):
                 M.band_correlation_study(*g.uniform(0, 1, (3, *shape)))
 
 
