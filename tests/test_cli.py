@@ -205,7 +205,7 @@ class TestFuse:
     @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
     def test_memory_check_under_address_space_limit(self, tmp_path):
         # Once numpy is loaded, the child caps its own address space halfway
-        # between the 64² and 512² default-config estimates: the 512² forward
+        # between fuse's 64² and 512² default-config estimates: the 512² forward
         # is refused up front and the 64² one still fuses. One BLAS thread
         # keeps the untracked per-thread buffers small on any core count.
         pytest.importorskip("resource")
@@ -224,7 +224,7 @@ class TestFuse:
             "sys.exit(cli.main(sys.argv[3:]))\n"
         )
         src = str(Path(cli.__file__).resolve().parent.parent)
-        extra = (network.peak_bytes(64, 64, cfg) + network.peak_bytes(512, 512, cfg)) // 2
+        extra = (cli._fuse_need(64, 64, cfg) + cli._fuse_need(512, 512, cfg)) // 2
         env = {**os.environ, **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1")}
         g = np.random.default_rng(5)
         runs = {}
@@ -236,10 +236,37 @@ class TestFuse:
                 text=True, timeout=120, env=env,
             )
         assert runs[512].returncode == 2, runs[512].stderr
-        assert f"{network.peak_bytes(512, 512, cfg) / 2**20:.1f} MiB" in runs[512].stderr
+        assert f"{cli._fuse_need(512, 512, cfg) / 2**20:.1f} MiB" in runs[512].stderr
         assert not (tmp_path / "f512.pgm").exists()
         assert runs[64].returncode == 0, runs[64].stderr
         assert load_pnm(str(tmp_path / "f64.pgm")).shape == (64, 64)
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+    def test_fuse_estimate_covers_the_rss_growth(self):
+        # A fresh process's peak RSS (ru_maxrss, KiB on Linux) over its RSS
+        # before a 256² default forward, with the heap malloc keeps after a
+        # free: 190 MiB on one BLAS thread, against an estimate of 233 MiB.
+        pytest.importorskip("resource")
+        child = (
+            "import os, resource, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import numpy as np\n"
+            "from wavefuse import cli, network\n"
+            "cfg = network.NetConfig()\n"
+            "w = network.init_weights(cfg, 0)\n"
+            "a, b = np.random.default_rng(1).uniform(0, 1, (2, 256, 256))\n"
+            "with open('/proc/self/statm') as fh:\n"
+            "    before = int(fh.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "network.forward(a, b, w, cfg)\n"
+            "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 - before\n"
+            "print(grown, cli._fuse_need(256, 256, cfg))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1")}
+        done = subprocess.run([sys.executable, "-c", child, src], capture_output=True,
+                              text=True, check=True, timeout=120, env=env)
+        grown, need = map(int, done.stdout.split())
+        assert 0 < grown <= need
 
     @pytest.fixture
     def fake_proc(self, tmp_path, monkeypatch):
@@ -472,7 +499,7 @@ def test_refuses_a_job_larger_than_the_headroom(command, tmp_path, weights_path,
     g = np.random.default_rng(4)
     a, b = (write_image(tmp_path / f"{m}.pgm", smooth_image(g, 128)) for m in "ab")
     out = tmp_path / "out"
-    fuse_need = network.peak_bytes(128, 128, network.load_weights(weights_path)[1])
+    fuse_need = cli._fuse_need(128, 128, network.load_weights(weights_path)[1])
     argv, need, room, text = {
         "fuse": ([a, b, "--weights", weights_path, "-o", str(out)], fuse_need, 2**20,
                  f"{fuse_need / 2**20:.1f} MiB, more than the 1.0 MiB"),
