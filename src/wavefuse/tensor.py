@@ -6,7 +6,7 @@ bits depend on the BLAS kernel, not on the core count. Every kernel but
 softmax_rows leaves its inputs unwritten; softmax_rows normalises a contiguous
 float64 argument in place (its one caller passes logits it owns). The
 canonical carrier is a contiguous numpy float64 array in (batch, channel,
-height, width) order; conv2d works channels-last inside and transposes back.
+height, width) order, and conv2d computes in it too.
 """
 
 import math
@@ -23,20 +23,18 @@ def conv2d(x, kernel, bias):
     b, _, h, w = x.shape
     pad = (k - 1) // 2
     wp = w + 2 * pad
-    # The padded channels-last input, flattened over (row, column) with one
-    # extra zero row, so that tap (u, v) reads the contiguous slice at
-    # u * wp + v: one (B, h * wp, Cin) @ (Cin, Cout) product per tap, no im2col
+    # Each zero-padded channel plane, with one extra zero row, flattened over
+    # (row, column), so that tap (u, v) reads the contiguous slice at
+    # u * wp + v: one (Cout, Cin) @ (B, Cin, h * wp) product per tap, no im2col
     # buffer. The wp - w wrap-around columns of each output row are cropped.
-    xt = np.zeros((b, h + 2 * pad + 1, wp, cin))
-    xt[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
-    flat = xt.reshape(b, -1, cin)
-    taps = kernel.transpose(2, 3, 1, 0)
-    out = np.zeros((b, h * wp, cout))
+    xp = np.zeros((b, cin, h + 2 * pad + 1, wp))
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    flat = xp.reshape(b, cin, -1)
+    out = np.zeros((b, cout, h * wp))
     for u in range(k):
         for v in range(k):
-            out += flat[:, u * wp + v : u * wp + v + h * wp] @ taps[u, v]
-    out += bias
-    return np.ascontiguousarray(out.reshape(b, h, wp, cout)[:, :, :w].transpose(0, 3, 1, 2))
+            out += kernel[:, :, u, v] @ flat[:, :, u * wp + v : u * wp + v + h * wp]
+    return out.reshape(b, cout, h, wp)[:, :, :, :w] + bias[:, None, None]
 
 
 def softmax_rows(m):

@@ -4,7 +4,8 @@ Applied independently to every (batch, channel) slice. The bands of a
 (B, C, H, W) tensor are one band-major float64 array of shape
 (4, B, C, H/2, W/2) in the order LL, LH, HL, HH, so `s[0]` is the low band and
 `s[1:]` the three detail bands. The orthonormal scaling (factor 1/2 per 2x2
-block) preserves energy exactly, which the tests rely on. The lossless
+block) preserves energy exactly, which the tests rely on. That butterfly is
+its own inverse, so dwt2 and iwt2 run the same `_haar`. The lossless
 `.bands` file of one decomposed plane is written and read here too.
 """
 
@@ -15,6 +16,17 @@ import numpy as np
 from .errors import FormatError, ShapeError
 
 BANDS_MAGIC = b"WBN1"
+
+
+def _haar(src, dst):
+    """The orthonormal Haar butterfly: writes (a+b+c+d)/2, (a+b-c-d)/2,
+    (a-b+c-d)/2 and (a-b-c+d)/2 of the four arrays a, b, c, d of `src` into
+    the four arrays of `dst`. Applied twice it gives back its input."""
+    a, b, c, d = src
+    dst[0][...] = (a + b + c + d) / 2.0
+    dst[1][...] = (a + b - c - d) / 2.0
+    dst[2][...] = (a - b + c - d) / 2.0
+    dst[3][...] = (a - b - c + d) / 2.0
 
 
 def dwt2(x):
@@ -29,32 +41,17 @@ def dwt2(x):
         raise ShapeError(
             f"dwt2 requires even spatial dims, got {h}x{w}; reflection-pad upstream"
         )
-    a = x[:, :, 0::2, 0::2]
-    b = x[:, :, 0::2, 1::2]
-    c = x[:, :, 1::2, 0::2]
-    d = x[:, :, 1::2, 1::2]
     s = np.empty((4, *x.shape[:2], h // 2, w // 2), dtype=np.float64)
-    s[0] = (a + b + c + d) / 2.0
-    s[1] = (a + b - c - d) / 2.0
-    s[2] = (a - b + c - d) / 2.0
-    s[3] = (a - b - c + d) / 2.0
+    _haar([x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)], s)
     return s
 
 
 def iwt2(s):
     """Exact inverse of dwt2: `s` is its (4, B, C, h, w) array or any sequence
     of the four (B, C, h, w) bands in the order LL, LH, HL, HH."""
-    ll, lh, hl, hh = s
-    a = (ll + lh + hl + hh) / 2.0
-    b = (ll + lh - hl - hh) / 2.0
-    c = (ll - lh + hl - hh) / 2.0
-    d = (ll - lh - hl + hh) / 2.0
-    bb, cc, hh2, ww2 = ll.shape
-    out = np.empty((bb, cc, hh2 * 2, ww2 * 2), dtype=np.float64)
-    out[:, :, 0::2, 0::2] = a
-    out[:, :, 0::2, 1::2] = b
-    out[:, :, 1::2, 0::2] = c
-    out[:, :, 1::2, 1::2] = d
+    b, c, h, w = s[0].shape
+    out = np.empty((b, c, 2 * h, 2 * w), dtype=np.float64)
+    _haar(s, [out[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)])
     return out
 
 

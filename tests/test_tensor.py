@@ -70,6 +70,23 @@ class TestConv2d:
         err = np.abs(T.conv2d(x, kern, bias) - want).max()
         assert err <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("k", [3, 7])
+    @pytest.mark.parametrize("cout", [1, 16])
+    @pytest.mark.parametrize("cin", [1, 2, 16])
+    def test_batch_rows_and_strided_input(self, rng, cin, cout, k):
+        # IFI's spatial gate stacks [LH; HL; HH] along the batch, so each
+        # image's result must not depend on the others in its batch; and a
+        # strided view must give the bits of its contiguous copy.
+        big = rng.standard_normal((3, cin, 22, 33))
+        x = big[:, :, ::2, ::3]
+        kern = rng.standard_normal((cout, cin, k, k))
+        bias = rng.standard_normal(cout)
+        out = T.conv2d(x, kern, bias)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, T.conv2d(np.ascontiguousarray(x), kern, bias))
+        for i in range(3):
+            assert np.array_equal(out[i : i + 1], T.conv2d(x[i : i + 1], kern, bias))
+
     def test_linearity(self, rng):
         x = rng.standard_normal((1, 2, 8, 8))
         y = rng.standard_normal((1, 2, 8, 8))

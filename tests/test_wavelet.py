@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,20 @@ def test_iwt2_inverts_array_and_tuple(rng):
     s = dwt2(x)
     assert np.abs(iwt2(s) - x).max() < 1e-12
     assert np.abs(iwt2(tuple(b.copy() for b in s)) - x).max() < 1e-12
+
+
+def test_iwt2_writes_into_its_output(rng):
+    # The synthesis butterfly writes each phase straight into the output, so
+    # its peak is the output plus one band-sized temporary, not four bands.
+    s = dwt2(rng.standard_normal((1, 16, 256, 256)))
+    assert s.shape == (4, 1, 16, 128, 128)
+    tracemalloc.start()
+    try:
+        nbytes = iwt2(s).nbytes
+        ratio = tracemalloc.get_traced_memory()[1] / nbytes
+    finally:
+        tracemalloc.stop()
+    assert ratio <= 1.5, ratio
 
 
 def test_detail_bands_stack_along_batch_as_a_view(rng):
