@@ -206,6 +206,8 @@ def cmd_fuse_opt(args):
 
 def cmd_decompose(args):
     y, _ = _load_luma(args.input)
+    if y.shape[0] % 2 or y.shape[1] % 2:
+        raise ShapeError(f"decompose needs even image sides, got {y.shape[0]}x{y.shape[1]}")
     bands = dwt2(y[None, None])
     os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.input))[0]

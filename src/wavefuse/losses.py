@@ -1,10 +1,10 @@
 """Fusion loss suite: intensity (L1), texture (Sobel-gradient L1), and SSIM,
 with analytic gradients w.r.t. the fused image and a finite-difference checker.
 
-All filtering uses reflect padding; gradients flow through the exact adjoint of
-that padded correlation, so finite differences agree to machine-level accuracy
-away from the L1 kinks. Both run one kernel: for each 16 x 16 output tile of a
-pass, one BLAS product of the band matrix of the pass's taps with an input slab.
+All filtering uses reflect padding; gradients flow through the exact adjoint,
+whose fold follows the padding's one mirror schedule, so finite differences
+agree to machine-level accuracy away from the L1 kinks. Both run one kernel:
+per 16 x 16 output tile, one BLAS product of the taps' band matrix with a slab.
 """
 
 from dataclasses import dataclass, field, fields
@@ -58,31 +58,29 @@ class LossReport:
     grad: np.ndarray | None = field(default=None, repr=False)
 
 
-def _fold_rows(g, pad):
-    """Adjoint of reflect-padding axis 0 of an array by `pad` on both sides."""
-    n = len(g) - 2 * pad
-    if n == 1:
-        # Every padded row copies the single row.
-        return g.sum(axis=0, keepdims=True)
-    out = g[pad : pad + n].copy()
-    # Outside an edge, distances 1..n-1 mirror onto rows 1..n-1 counted from
-    # that edge; each further n-1 rows bounce off the opposite edge.
-    for tail, view in ((g[:pad][::-1], out), (g[pad + n :], out[::-1])):
-        for start in range(0, pad, n - 1):
-            chunk = tail[start : start + n - 1]
-            view[1 : 1 + len(chunk)] += chunk
-            view = view[::-1]
-    return out
+def _mirrors(x, image, pad):
+    """The (edge rows, image rows) view pairs of reflect padding along axis 0:
+    edges are the `pad` rows of x on each side of its n image rows, and image
+    rows come from `image`, those n rows or a copy. Outside an edge, distances
+    1..n-1 mirror rows 1..n-1 counted from that edge; each further n-1 rows
+    bounce off the opposite edge. A single row mirrors itself."""
+    n = len(image)
+    step, first = max(1, n - 1), min(1, n - 1)
+    for edge, rows in ((x[:pad][::-1], image), (x[pad + n : 2 * pad + n], image[::-1])):
+        for start in range(0, pad, step):
+            chunk = edge[start : start + step]
+            yield chunk, rows[first : first + len(chunk)]
+            rows = rows[::-1]
 
 
 def reflect_pad_adjoint(g, pad):
     """Fold gradients on the padded array back onto the original pixels."""
-    return _fold_rows(_fold_rows(g, pad).T, pad).T
-
-
-def _part(x, axis, start, n):
-    """The n rows (axis 0) or columns (axis 1) of x from `start` on, as a view."""
-    return x[start : start + n] if axis == 0 else x[:, start : start + n]
+    for _ in range(2):  # down the rows, then down the columns
+        out = g[pad : len(g) - pad].copy()
+        for edge, rows in _mirrors(g, out, pad):
+            rows += edge
+        g = out.T
+    return g
 
 
 def _tiles(x, rows, cols):
@@ -119,13 +117,12 @@ def _sliding(x, size, reduce):
     """Apply a binary ufunc (np.add, np.minimum, ...) across every size x size
     window of x (size >= 2), one axis at a time; the output is the valid part."""
     def windows(x, out):
-        for axis, dst in ((0, None), (1, out)):
-            n = x.shape[axis] - size + 1
-            dst = reduce(_part(x, axis, 0, n), _part(x, axis, 1, n), out=dst)
+        for dst in (None, out.T):  # down the rows, then down the columns
+            n = len(x) - size + 1
+            dst = reduce(x[:n], x[1 : n + 1], out=dst)
             for u in range(2, size):
-                reduce(dst, _part(x, axis, u, n), out=dst)
-            x = dst
-        return x
+                reduce(dst, x[u : u + n], out=dst)
+            x = dst.T
 
     return _by_strips(windows, x, size - 1, x.shape[1] - size + 1)
 
@@ -142,9 +139,8 @@ def _separable(x, kr, kc, pad, reflect):
     xp[pad : pad + hx, pad : pad + wx] = x
     if reflect:  # mirror the image rows' columns, then whole rows, about each edge
         for v, n in ((xp[pad : pad + hx].T, wx), (xp, hx)):
-            dst = [*range(pad), *range(n + pad, n + 2 * pad)]
-            src = [abs(j - pad) % max(1, 2 * n - 2) for j in dst]
-            v[dst] = v[[pad + min(j, 2 * n - 2 - j) for j in src]]
+            for edge, rows in _mirrors(v, v[pad : pad + n], pad):
+                edge[...] = rows
     br, bc = _band(kr).T, _band(kc)
 
     def passes(s, out):

@@ -371,9 +371,10 @@ class TestDecompose:
         for k in range(4):  # LL, LH, HL, HH
             assert np.array_equal(bands[k], want[k])
 
-    def test_odd_dims_exit_2(self, tmp_path):
+    def test_odd_dims_exit_2(self, tmp_path, capsys):
         src = write_image(tmp_path / "odd.pgm", np.zeros((7, 8)))
         assert cli.main(["decompose", src, str(tmp_path / "d")]) == 2
+        assert "decompose needs even image sides, got 7x8" in capsys.readouterr().err
 
 
 class TestBandsContainer:

@@ -183,6 +183,20 @@ class TestSmallImages:
             lhs, rhs = (fx * y).sum(), (x * ay).sum()
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), shape
 
+    @pytest.mark.parametrize("pad, cols", [(1, None), (5, None), (13, (0, 13, 26))])
+    def test_one_hot_taps_read_numpy_reflect_padding(self, pad, cols):
+        # Taps (e_u, e_v) pick the padded pixel (i + u, j + v) with no rounding,
+        # which pins every mirrored row and column to numpy's "reflect" mode.
+        eye = np.eye(2 * pad + 1)
+        g = np.random.default_rng(8)
+        for h, w in SMALL_SHAPES:
+            x = g.standard_normal((h, w))
+            xp = np.pad(x, pad, mode="reflect")
+            for u in range(2 * pad + 1):
+                for v in cols or range(2 * pad + 1):
+                    got = L.filt(x, (eye[u], eye[v]))
+                    assert np.array_equal(got, xp[u : u + h, v : v + w]), (h, w, u, v)
+
     @pytest.mark.parametrize("pad", [1, 5, 13])
     def test_reflect_pad_adjoint_matches_loop_fold(self, pad):
         g = np.random.default_rng(6)
