@@ -242,6 +242,8 @@ def cmd_analyze_bands(args):
 
 def cmd_gradcheck(args):
     n = args.size  # the check runs before the three n x n images exist, so it counts them
+    if n < 1:
+        raise ValueError(f"--size must be at least 1, got {n}")
     _check_memory("gradient-checking", (n, n), losses.gradcheck_peak_bytes(n, n) + 3 * 8 * n * n)
     rng = np.random.default_rng(args.seed)
     f, a, b = (smooth_image(rng, n) for _ in range(3))

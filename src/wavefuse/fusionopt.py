@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, WavefuseError
-from .imageio import check_images
+from .imageio import check_images, csv_text
 from .losses import LossReport, LossWeights, loss_total
 
 MAX_HALVINGS = 20
@@ -42,13 +42,8 @@ class OptTrace:
         return len(self.reports) - 1
 
     def csv(self):
-        lines = ["iter,total,l_int,l_text,l_ssim"]
-        for i, r in enumerate(self.reports):
-            lines.append(
-                f"{i},{format(r.total, '.9g')},{format(r.l_int, '.9g')},"
-                f"{format(r.l_text, '.9g')},{format(r.l_ssim, '.9g')}"
-            )
-        return "\n".join(lines) + "\n"
+        rows = ((i, r.total, r.l_int, r.l_text, r.l_ssim) for i, r in enumerate(self.reports))
+        return csv_text("iter,total,l_int,l_text,l_ssim", rows)
 
 
 def peak_bytes(h, w):

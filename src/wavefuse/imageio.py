@@ -1,5 +1,5 @@
-"""Binary PGM/PPM I/O, [0,1] normalization, the BT.601 YCbCr round trip, and
-the image check that every library entry point runs on its inputs.
+"""Binary PGM/PPM I/O, [0,1] normalization, the BT.601 YCbCr round trip, the
+image check that every library entry point runs on its inputs, and the CSV writer.
 
 Grayscale images are plain (H, W) float64 arrays with values in [0, 1];
 RGB images are (H, W, 3). PNM is the only supported container: it is
@@ -125,3 +125,10 @@ def check_images(*images):
         if not np.isfinite(img).all():
             raise ValueError("image holds NaN or Inf values")
     return out
+
+
+def csv_text(header, rows):
+    """The header line, then each row's cells joined by commas, strings as
+    they are and numbers in '.9g'; every line ends in a newline."""
+    lines = [",".join(v if isinstance(v, str) else format(v, ".9g") for v in row) for row in rows]
+    return "\n".join([header, *lines]) + "\n"

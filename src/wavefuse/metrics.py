@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .imageio import check_images
+from .imageio import check_images, csv_text
 from .losses import SOBEL_X, SOBEL_Y, SSIM_WINDOW, _sliding, filt, ssim
 from .wavelet import dwt2
 
@@ -264,14 +264,9 @@ def band_correlation_study(a, b, f):
 
 
 def study_csv(rows):
-    lines = ["band,src,ssim_low,ssim_high"]
-    for band, src, low, high in rows:
-        lines.append(f"{band},{src},{format(low, '.9g')},{format(high, '.9g')}")
-    return "\n".join(lines) + "\n"
+    return csv_text("band,src,ssim_low,ssim_high", rows)
 
 
 def metrics_csv(report):
-    lines = ["metric,value"]
-    for name in ("ssim_a", "ssim_b", "q_abf", "q_w", "fmi"):
-        lines.append(f"{name},{format(getattr(report, name), '.9g')}")
-    return "\n".join(lines) + "\n"
+    names = ("ssim_a", "ssim_b", "q_abf", "q_w", "fmi")
+    return csv_text("metric,value", ((name, getattr(report, name)) for name in names))

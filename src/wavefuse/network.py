@@ -138,44 +138,38 @@ def enhance_block(f1, f2, index, weights, cfg):
     blocks shift the windows by half a window. Intermediates die once consumed.
     """
     h, wd = f1.shape[2:]
-    prefixes = [f"block{index}.s{m}" for m in (1, 2)]
     shift = (index % 2) * (cfg.window // 2)
 
-    padded, toks = [], {"low": [], "high": []}
-    for f, p in zip((f1, f2), prefixes):
+    def params(name, keys):  # both streams' block{index}.s{m}.{name}.{key} weights, in keys' order
+        return [[weights[f"block{index}.s{m}.{name}.{k}"] for k in keys.split()] for m in (1, 2)]
+
+    padded, lows, highs = [], [], []
+    for f, ln in zip((f1, f2), params("ln1", "gain shift")):
         padded.append(_pad_to_multiple(f, 2 * cfg.window))
-        s = dwt2(T.layer_norm(padded[-1], weights[f"{p}.ln1.gain"], weights[f"{p}.ln1.shift"]))
+        s = dwt2(T.layer_norm(padded[-1], *ln))
         # Tokens are copies, so the bands die here; the details are one batch [LH; HL; HH].
-        toks["low"].append(window_partition(s[0], cfg.window, shift))
-        toks["high"].append(window_partition(s[1:].reshape(-1, *s.shape[2:]), cfg.window, shift))
+        lows.append(window_partition(s[0], cfg.window, shift))
+        highs.append(window_partition(s[1:].reshape(-1, *s.shape[2:]), cfg.window, shift))
     del s
-
-    def params(layer, names):  # stream m's block{index}.s{m}.{layer}.{name} weights
-        return ([weights[f"{p}.{layer}.{n}"] for n in names] for p in prefixes)
-
-    # Popped, each band's tokens die as its attention returns.
-    lows, highs = (
-        cross_modal_attention(
-            *toks.pop(b), *params(f"attn.{b}", ("wq", "wk", "wv", "wo")), cfg.heads, cfg.cross_route
-        )
-        for b in ("low", "high")
-    )
-    gates = params("cbam", ("ca_w1", "ca_w2", "sa_w", "sa_b"))
-    fres = list(frequency_interaction(*lows, *highs, *gates))
+    # Rebound, each band's tokens die as its attention returns.
+    qkvo = "wq wk wv wo"
+    lows = cross_modal_attention(*lows, *params("attn.low", qkvo), cfg.heads, cfg.cross_route)
+    highs = cross_modal_attention(*highs, *params("attn.high", qkvo), cfg.heads, cfg.cross_route)
+    streams = list(frequency_interaction(*lows, *highs, *params("cbam", "ca_w1 ca_w2 sa_w sa_b")))
     del lows, highs
 
     outs = []
-    for p in prefixes:
-        low, high = fres.pop(0)
+    for ln, (w1, b1, w2, b2) in zip(params("ln2", "gain shift"), params("mlp", "w1 b1 w2 b2")):
+        low, high = streams.pop(0)
         fprime = iwt2((low, *high.reshape(3, *low.shape)))
         del low, high
         fprime += padded.pop(0)
-        x = T.layer_norm(fprime, weights[f"{p}.ln2.gain"], weights[f"{p}.ln2.shift"])
+        x = T.layer_norm(fprime, *ln)
         # (B, C, H*W): the MLP mixes channels only. Rebinding x frees each input.
-        x = weights[f"{p}.mlp.w1"] @ x.reshape(*x.shape[:2], -1)
-        x += weights[f"{p}.mlp.b1"][:, None]
-        x = weights[f"{p}.mlp.w2"] @ T.leaky_relu(x, SLOPE)
-        x += weights[f"{p}.mlp.b2"][:, None]
+        x = w1 @ x.reshape(*x.shape[:2], -1)
+        x += b1[:, None]
+        x = w2 @ T.leaky_relu(x, SLOPE)
+        x += b2[:, None]
         x = x.reshape(fprime.shape)
         x += fprime
         outs.append(x[:, :, :h, :wd])
@@ -272,11 +266,11 @@ def load_weights(path):
         # and two blocks, before the schema is built.
         one, two = (len(weight_schema(replace(cfg, blocks=n))) for n in (1, 2))
         want = struct.pack("<I", one + (cfg.blocks - 1) * (two - one))
+        _compare_table(body, body[: 33 + rlen] + want)
+        schema = weight_schema(cfg)
+        head = _header(cfg, schema)  # raises struct.error on a dimension past u32
     except (struct.error, ValueError, ShapeError) as exc:
         raise FormatError(f"malformed weights file: {exc}") from exc
-    _compare_table(body, body[: 33 + rlen] + want)
-    schema = weight_schema(cfg)
-    head = _header(cfg, schema)
     _compare_table(body, head)
     names = sorted(schema)
     sizes = [math.prod(schema[name]) for name in names]

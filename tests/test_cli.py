@@ -444,6 +444,13 @@ class TestOtherCommands:
         assert cli.main(["gradcheck", "--size", "32"]) == 0
         assert "gradient error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_gradcheck_size_below_one_exit_2(self, capsys, size):
+        assert cli.main(["gradcheck", "--size", str(size)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --size must be at least 1, got {size}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag", ["--heads", "--reduction", "--blocks", "--window"])
     def test_init_weights_size_zero_exit_2(self, tmp_path, flag):
         assert cli.main(["init-weights", str(tmp_path / "w.wfw"), flag, "0"]) == 2

@@ -101,6 +101,7 @@ def _edit_record(whole, offset, fmt, value):
     (33, "<B", 0xFF, "utf-8"),
     (33, "<B", ord("q"), "cross_route"),
     (34, "<I", 2**32 - 1, "malformed"),
+    (28, "<I", 2**32 - 1, "malformed"),  # mlp_ratio: the MLP's 2 * mlp_ratio rows pass u32
 ])
 def test_crafted_records_raise_format_error(files, offset, fmt, value, message):
     exc = _load(files, "w.wfw", _edit_record(files[0]["w.wfw"], offset, fmt, value))
