@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import conv2d, sigmoid, softmax_rows
+from .tensor import _lanes, conv2d, sigmoid, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,15 @@ def window_merge(tok):
     return np.ascontiguousarray(x)
 
 
+def _by_windows(a, b, out):
+    """a @ b into out over stacks of windows (axis 0), in two lanes when the
+    larger of a and out, the logits in both of mhsa's products, reaches
+    tensor._SPLIT elements; each window's product is the one matmul makes."""
+    _lanes(lambda lo, hi: np.matmul(a[lo:hi], b[lo:hi], out=out[lo:hi]),
+           len(out), max(a.size, out.size))
+    return out
+
+
 def mhsa(q_src, k_src, w, heads):
     """Multi-head attention over window token stacks.
 
@@ -65,12 +74,12 @@ def mhsa(q_src, k_src, w, heads):
     # so q @ k is the scaled logits with no transpose or division over them.
     q = (q_src.tokens @ (wq / np.sqrt(d))).reshape(nwin, t, h, d).transpose(0, 2, 1, 3)
     k = (k_src.tokens @ wk).reshape(nwin, t, h, d).transpose(0, 2, 3, 1)
-    attn = q @ k
+    attn = _by_windows(q, k, np.empty((nwin, h, t, t)))
     # The logits set the forward's peak: V is made only once Q and K are gone.
     del q, k
     attn = softmax_rows(attn)
     v = (q_src.tokens @ wv).reshape(nwin, t, h, d).transpose(0, 2, 1, 3)
-    out = attn @ v
+    out = _by_windows(attn, v, np.empty((nwin, h, t, d)))
     del attn, v
     return replace(q_src, tokens=out.transpose(0, 2, 1, 3).reshape(nwin, t, c) @ wo)
 

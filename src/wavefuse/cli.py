@@ -247,7 +247,10 @@ def cmd_gradcheck(args):
     _check_memory("gradient-checking", (n, n), losses.gradcheck_peak_bytes(n, n) + 3 * 8 * n * n)
     rng = np.random.default_rng(args.seed)
     f, a, b = (smooth_image(rng, n) for _ in range(3))
-    err = losses.gradcheck(f, a, b, seed=args.seed)
+    try:
+        err = losses.gradcheck(f, a, b, seed=args.seed)
+    except ValueError as exc:  # too few kink-free pixels: 16 has enough on seeds 0-59
+        raise ValueError(f"--size {n} is too small: {exc}; use a larger --size, such as 16")
     print(f"max relative gradient error: {err:.3e}")
     return EXIT_OK if err < 1e-4 else EXIT_INTERNAL
 

@@ -1,3 +1,5 @@
+import os
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import channel_gate_naive, cross_modal_attention_naive, spatial_gate_naive
 from wavefuse import attention as att
+from wavefuse import tensor as T
 from wavefuse.tensor import softmax_rows
 
 
@@ -107,6 +110,21 @@ class TestMhsa:
         tok_p = replace(tok, tokens=tok.tokens[:, perm, :])
         out_p = att.mhsa(tok_p, tok_p, p, 2).tokens
         assert np.allclose(out_p, base[:, perm, :], atol=1e-12)
+
+    @pytest.mark.parametrize("windows", [1, 3, 7])
+    def test_two_lanes_match_one(self, rng, monkeypatch, windows):
+        # With the gate at one element, q @ k and attn @ v split the windows
+        # in halves (none at one window) and softmax_rows its 8-row blocks.
+        x = rng.standard_normal((1, 8, 4, 4 * windows))
+        tok = att.window_partition(x, 4, 0)
+        p = random_params(rng)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        want = att.mhsa(tok, tok, p, 2).tokens
+        monkeypatch.setattr(T, "_BLOCK", 16)
+        monkeypatch.setattr(T, "_SPLIT", 1)
+        before = threading.enumerate()
+        assert np.array_equal(att.mhsa(tok, tok, p, 2).tokens, want)
+        assert threading.enumerate() == before
 
 
 class TestCrossModalAttention:

@@ -1,15 +1,16 @@
 """The benchmark's span counters (perfbench/layers.py) read layer arguments by
 name: mhsa's q_src, conv2d's x and kernel, softmax_rows' m and enhance_block's
 f1 and cfg. A signature change that renames one of them breaks the traced
-benchmark run; the first test runs the same hooks on two small forwards. The
-traced workloads assert exact span counts, which a new public helper would
-change; the first test counts the forward's, the second score's on a small
-triple, and the third the
-loss path's counts on a short optimize run. The optimizer counts tell step
+benchmark run; the first test runs the same hooks on three forwards. The
+traced workloads assert exact span counts, which a new public helper, or a
+lane thread calling a public function, would change; the first test counts
+the forward's, the second score's on a small triple, and the third the loss
+path's counts on a short optimize run. The optimizer counts tell step
 bases from rejected candidates by the identity of the reports loss_total
 returned; the fourth test holds optimize to that."""
 
 import importlib
+import os
 import sys
 from pathlib import Path
 
@@ -22,13 +23,16 @@ import workloads  # noqa: E402
 from wavefuse import fusionopt, metrics, network  # noqa: E402
 
 
-def test_traced_forward_feeds_every_counter(rng):
-    # The net workloads' table of spans per forward, on a window-aligned pair
-    # and on one that takes net-small's mirror-pad and crop path.
+def test_traced_forward_feeds_every_counter(rng, monkeypatch):
+    # The net workloads' table of spans per forward, on a window-aligned pair,
+    # on one that takes net-small's mirror-pad and crop path, and on one whose
+    # logits (1 to 3.1 M elements) run softmax_rows and mhsa in two lanes,
+    # which must keep every span on the caller's thread.
     modules = {m: importlib.import_module(f"wavefuse.{m}") for m in layers.MODULES}
     cfg = network.NetConfig()
     weights = network.init_weights(cfg, 0)
-    for shape in ((32, 32), (33, 47)):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for shape in ((32, 32), (33, 47), (128, 128)):
         a, b = rng.uniform(0, 1, (2, *shape))
         tracer = spans.Tracer()
         with spans.instrument(
@@ -40,6 +44,7 @@ def test_traced_forward_feeds_every_counter(rng):
             assert tracer.get(name).calls == want, (shape, name)
         for counter in ("mhsa.flop", "conv2d.flop", "softmax.bytes", "pad.real_px"):
             assert tracer.counters.get(counter, 0.0) > 0, (shape, counter)
+        assert tracer.get("tensor.softmax_rows").self_s > 0, shape
     assert not hasattr(network.forward, "__wrapped__")  # bindings restored
 
 

@@ -451,6 +451,19 @@ class TestOtherCommands:
         assert captured.err == f"error: --size must be at least 1, got {size}\n"
         assert captured.out == ""
 
+    def test_gradcheck_size_too_small_exit_2(self, capsys):
+        # Too few kink-free pixels: the message names the flag and a size that
+        # works, and 16 passes on seeds 0-9.
+        for size in (2, 12):
+            assert cli.main(["gradcheck", "--size", str(size)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: --size {size} is too small: only ")
+            assert captured.err.endswith("; use a larger --size, such as 16\n")
+            assert captured.out == ""
+        for seed in range(10):
+            assert cli.main(["gradcheck", "--size", "16", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("flag", ["--heads", "--reduction", "--blocks", "--window"])
     def test_init_weights_size_zero_exit_2(self, tmp_path, flag):
         assert cli.main(["init-weights", str(tmp_path / "w.wfw"), flag, "0"]) == 2

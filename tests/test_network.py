@@ -352,8 +352,10 @@ class TestForward:
         reason="needs CPU affinity and at least two usable CPUs",
     )
     def test_same_output_on_one_cpu(self, rng, tmp_path):
-        # BLAS threads (softmax_rows' row sums, conv2d's tap products) split
-        # the work over the cores here and not on one CPU; the bits agree.
+        # BLAS threads (softmax_rows' row sums, conv2d's tap products) and the
+        # two lanes of softmax_rows and mhsa (the 128^2 logits pass their
+        # 2^20-element gate) split the work over the cores here and not on
+        # one CPU; the bits agree.
         cfg = net.NetConfig()
         w = net.init_weights(cfg, 0)
         pair = rng.uniform(0, 1, (2, 128, 128))

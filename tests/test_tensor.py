@@ -1,3 +1,8 @@
+import multiprocessing
+import os
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,9 +156,10 @@ class TestSoftmax:
         np.full(2**15, 699.5),  # each exp finite, their sum not
     ], ids=["large", "underflow", "near_bound", "sum_overflows"])
     def test_rows_outside_the_gate_are_shifted(self, rng, row):
-        # One such row sends the whole array through the max-subtracted form;
-        # an overflow or a division by zero would raise, as the suite turns
-        # warnings into errors.
+        # The gate acts per block: one such row sends its whole block (here
+        # the whole array) through the max-subtracted form; an overflow or a
+        # division by zero would raise, as the suite turns warnings into
+        # errors.
         m = np.stack([rng.standard_normal(row.size), row])
         want = softmax_naive(m)
         out = T.softmax_rows(m)
@@ -164,6 +170,95 @@ class TestSoftmax:
         m = np.empty((0, 5))
         assert T.softmax_rows(m) is m
         assert T.softmax_rows(np.empty((2, 0, 3))).shape == (2, 0, 3)
+
+
+def usable_cpus(monkeypatch, n):
+    """Make _lanes see n usable CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        CountedThread.started += 1
+        super().start()
+
+
+class TestLanes:
+    @pytest.mark.parametrize("windows", [1, 3, 7])
+    def test_two_lanes_match_one(self, rng, monkeypatch, windows):
+        # Blocks of 24 rows of 64: 11, 32 and 75 blocks, the first and last
+        # with a short last block, against one block of every row.
+        m = rng.standard_normal((windows, 4, 64, 64)) * 10
+        usable_cpus(monkeypatch, 2)
+        want = T.softmax_rows(m.copy())
+        monkeypatch.setattr(T, "_BLOCK", 24 * 64)
+        monkeypatch.setattr(T, "_SPLIT", 1)
+        monkeypatch.setattr(T, "threading", SimpleNamespace(Thread=CountedThread))
+        CountedThread.started = 0
+        assert np.array_equal(T.softmax_rows(m.copy()), want)
+        assert CountedThread.started == 1
+
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_blocks_keep_the_whole_array_bits(self, rng, n):
+        # Four blocks, the last one short, give the bits of one pass of each
+        # step over all rows. The row count is a multiple of 64, so that the
+        # whole array's gemv, split over BLAS threads, groups rows by 4 too.
+        m = rng.standard_normal((3 * (T._BLOCK // n // 8 * 8) + 64, n)) * 10
+        e = np.exp(m)
+        want = e * np.reciprocal(e @ np.ones(n))[:, None]
+        assert np.array_equal(T.softmax_rows(m), want)
+
+    def test_worker_exception_propagates(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        before = set(threading.enumerate())
+        halves = []
+
+        def fn(lo, hi):
+            halves.append((lo, hi))
+            if lo:
+                raise KeyError("second half")
+
+        with pytest.raises(KeyError, match="second half"):
+            T._lanes(fn, 9, T._SPLIT)
+        assert sorted(halves) == [(0, 4), (4, 9)]
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("cpus, size, calls", [
+        (1, 2**30, [(0, 9)]),
+        (2, 2**20 - 1, [(0, 9)]),
+        (2, 2**20, [(0, 4), (4, 9)]),
+    ], ids=["one_cpu", "below_the_gate", "at_the_gate"])
+    def test_split_needs_two_cpus_and_the_gate(self, monkeypatch, cpus, size, calls):
+        usable_cpus(monkeypatch, cpus)
+        seen = []
+        T._lanes(lambda lo, hi: seen.append((lo, hi)), 9, size)
+        assert sorted(seen) == calls
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    # BLAS threads make Python 3.12+ warn on any fork; the test is that the
+    # child's split call still returns.
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_after_split_call(self, rng, monkeypatch):
+        # A lane thread left running, or a pool kept across calls, would leave
+        # the forked child a dead thread to wait on.
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(T, "_BLOCK", 64)
+        monkeypatch.setattr(T, "_SPLIT", 1)
+        T.softmax_rows(rng.standard_normal((64, 9)))
+        child = multiprocessing.get_context("fork").Process(
+            target=T.softmax_rows, args=(rng.standard_normal((64, 9)),)
+        )
+        child.start()
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("forked child hung in softmax_rows")
+        assert child.exitcode == 0
 
 
 class TestLayerNorm:
