@@ -72,7 +72,8 @@ def save_pnm(image, path):
     """Write an (H, W) array as P5 or an (H, W, 3) array as P6, maxval 255.
 
     Quantization is round-half-away-from-zero so that save(load(x)) is the
-    identity on 8-bit files.
+    identity on 8-bit files. An empty image raises ShapeError and a NaN or an
+    Inf ValueError, as in check_images.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim == 2:
@@ -81,6 +82,10 @@ def save_pnm(image, path):
         magic = b"P6"
     else:
         raise ShapeError(f"expected (H,W) or (H,W,3) image, got {img.shape}")
+    if img.size == 0:
+        raise ShapeError(f"image must be non-empty, got shape {img.shape}")
+    if not np.isfinite(img).all():
+        raise ValueError("image holds NaN or Inf values")
     q = np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
     h, w = img.shape[:2]
     with open(path, "wb") as fh:

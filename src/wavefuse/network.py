@@ -222,9 +222,11 @@ def _header(cfg, shapes):
 
 
 def save_weights(weights, cfg, path):
-    """_header's bytes, the f64 little-endian payloads in table order, and a
-    trailing CRC32 of everything before it."""
-    body = _header(cfg, {name: arr.shape for name, arr in weights.items()})
+    """_header's bytes for cfg's schema, the f64 little-endian payloads in
+    table order, and a trailing CRC32 of everything before it. Weights that
+    validate_weights rejects raise FormatError before path is opened."""
+    validate_weights(weights, cfg)
+    body = _header(cfg, weight_schema(cfg))
     for name in sorted(weights):
         body += np.ascontiguousarray(weights[name], dtype="<f8").tobytes()
     body += struct.pack("<I", zlib.crc32(body))

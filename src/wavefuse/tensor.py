@@ -4,12 +4,13 @@ the channel axis, and the elementwise activations.
 All functions are deterministic, and none keeps a thread of its own: softmax
 rows over 2**20 elements or more (and attention's large window products) run
 in two lanes, the second on a thread started and joined within the call, and
-every element is computed as on one lane, so the bits depend on the BLAS
-kernel, not on the core count. Every kernel but softmax_rows leaves its inputs
-unwritten; softmax_rows normalises a contiguous float64 argument in place (its
-one caller passes logits it owns). The canonical carrier is a contiguous numpy
-float64 array in (batch, channel, height, width) order, and conv2d computes in
-it too.
+every element is computed as on one lane, so the lanes move no bit; BLAS's
+own threads do (a default forward on a 75 x 79 pair differs between two CPUs
+and one unless OPENBLAS_NUM_THREADS=1). Every kernel but softmax_rows leaves
+its inputs unwritten; softmax_rows normalises a contiguous float64 argument
+in place (its one caller passes logits it owns). The canonical carrier is a
+contiguous numpy float64 array in (batch, channel, height, width) order, and
+conv2d computes in it too.
 """
 
 import math

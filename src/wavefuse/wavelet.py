@@ -58,9 +58,9 @@ def iwt2(s):
 def save_bands(bands, path):
     """Lossless .bands container of the (4, 1, 1, H', W') dwt2 array of one
     plane: magic, u32 H', u32 W', then the LL, LH, HL, HH planes as
-    little-endian f64. Any other shape raises ShapeError."""
-    if bands.ndim != 5 or bands.shape[:3] != (4, 1, 1):
-        raise ShapeError(f"expected the (4, 1, 1, h, w) bands of one plane, got {bands.shape}")
+    little-endian f64. Any other shape, or empty bands, raises ShapeError."""
+    if bands.ndim != 5 or bands.shape[:3] != (4, 1, 1) or bands.size == 0:
+        raise ShapeError(f"expected one plane's non-empty (4, 1, 1, h, w) bands, got {bands.shape}")
     h, w = bands.shape[-2:]
     with open(path, "wb") as fh:
         fh.write(BANDS_MAGIC + struct.pack("<II", h, w))

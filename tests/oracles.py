@@ -1,9 +1,12 @@
 """Independent brute-force reference implementations used to freeze expected
-values. Everything here is written as plain per-pixel loops, deliberately
-sharing no code with the vectorized library paths."""
+values. The numerics are written as plain per-pixel loops and the weights
+file writer from README's "File formats" section, deliberately sharing no
+code with the library: nothing here imports wavefuse."""
 
 import math
 import operator
+import struct
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -583,3 +586,24 @@ def forward_naive(i1, i2, weights, cfg):
         for j in range(w):
             out[i, j] = min(max(x[0, 0, i, j], 0.0), 1.0)
     return out
+
+
+def wfw_bytes(sizes, route, tensors):
+    """A .wfw weights file packed field by field from README's layout: magic
+    WFW1, u32 version 2, the six sizes (channels, blocks, window, heads,
+    reduction, MLP ratio) as u32, a u8 length and the UTF-8 route, the u32
+    tensor count, per name in sorted order a u16 length, the UTF-8 name, a u8
+    rank and the u32 dims, then the float64 payloads in that order, all
+    little-endian, and a CRC32 of every byte before it. Any sizes, names,
+    shapes and values are packed as given, so tests craft bad files here."""
+    enc = route.encode("utf-8")
+    body = b"WFW1" + struct.pack("<I6IB", 2, *sizes, len(enc)) + enc
+    body += struct.pack("<I", len(tensors))
+    names = sorted(tensors)
+    for name in names:
+        raw, shape = name.encode("utf-8"), np.shape(tensors[name])
+        body += struct.pack("<H", len(raw)) + raw
+        body += struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+    for name in names:
+        body += np.asarray(tensors[name], dtype="<f8").tobytes()
+    return body + struct.pack("<I", zlib.crc32(body))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import smooth_image
+from conftest import smooth_image, write_wfw
 from wavefuse import cli, fusionopt, losses, metrics, network, wavelet
 from wavefuse.errors import FormatError, WavefuseError
 from wavefuse.imageio import load_pnm, rgb_to_ycbcr, save_pnm, ycbcr_to_rgb
@@ -140,8 +140,7 @@ class TestFuse:
             w["block0.s1.cbam.ca_w1"] = np.zeros((3, 8))
         else:
             w["block0.s1.mlp.w1"] = np.zeros((4, 8))
-        bad = str(tmp / "bad.wfw")
-        network.save_weights(w, cfg, bad)
+        bad = str(write_wfw(tmp / "bad.wfw", w, cfg))
         code = cli.main(["fuse", a, b, "--weights", bad, "-o", str(tmp / "x.pgm")])
         assert code == 3
 
@@ -150,8 +149,7 @@ class TestFuse:
         a, b, tmp = images
         w, cfg = network.load_weights(weights_path)
         w["fuse.3.bias"] = np.full(1, value)
-        bad = str(tmp / "bad.wfw")
-        network.save_weights(w, cfg, bad)
+        bad = str(write_wfw(tmp / "bad.wfw", w, cfg))
         out = tmp / "x.pgm"
         assert cli.main(["fuse", a, b, "--weights", bad, "-o", str(out)]) == 3
         assert "fuse.3.bias" in capsys.readouterr().err

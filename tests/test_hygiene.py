@@ -2,9 +2,11 @@
 private module-level function that nothing calls, no public one that nothing
 outside its module names, no function parameter that the function never
 reads, no image check below the exported API, and no line over 100
-characters. Standard library only."""
+characters; and that the test oracles import only the standard library and
+numpy. Standard library only."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,3 +137,15 @@ def test_no_line_over_100_characters():
         if len(line) > 100
     ]
     assert not long, f"lines over 100 characters: {long}"
+
+
+def test_oracles_import_nothing_from_the_library():
+    # The oracles check the library only while they share no code with it, as
+    # README says; wavefuse, or conftest (which imports it), would break that.
+    tree = _parse(ROOT / "tests" / "oracles.py")
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    modules += ["." * n.level + (n.module or "") for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom)]
+    allowed = sys.stdlib_module_names | {"numpy"}
+    foreign = [m for m in modules if m.split(".")[0] not in allowed]
+    assert not foreign, f"tests/oracles.py imports {foreign}"

@@ -91,6 +91,24 @@ def test_save_rejects_four_channels(tmp_path):
     assert not (tmp_path / "x.ppm").exists()
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (2, 0, 3)])
+def test_save_rejects_empty_image(tmp_path, shape):
+    # load_pnm refuses a zero dimension, so no such file is written
+    with pytest.raises(ShapeError, match="non-empty"):
+        io.save_pnm(np.zeros(shape), tmp_path / "x.pnm")
+    assert not (tmp_path / "x.pnm").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(2, 3), (2, 3, 3)])
+def test_save_rejects_non_finite_values(tmp_path, shape, value):
+    img = np.full(shape, 0.5)
+    img[1, 2] = value
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        io.save_pnm(img, tmp_path / "x.pnm")
+    assert not (tmp_path / "x.pnm").exists()
+
+
 # A separator between two header fields: a whitespace run, then '#' comments,
 # each ended by a newline and an optional whitespace run.
 _WS = st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]), max_size=6)

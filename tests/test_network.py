@@ -5,22 +5,49 @@ import subprocess
 import sys
 import tracemalloc
 import zlib
-from dataclasses import asdict, replace
+from dataclasses import astuple, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import zero_weights
-from oracles import enhance_block_naive, forward_naive
+from conftest import write_wfw, zero_weights
+from oracles import enhance_block_naive, forward_naive, wfw_bytes
 from wavefuse.errors import FormatError, ShapeError
 from wavefuse import network as net
 
 
 SMALL = net.NetConfig(channels=8, blocks=2, window=4, heads=2, reduction=2)
+CONFIGS = [
+    SMALL,
+    replace(SMALL, blocks=3, mlp_ratio=3, cross_route="k"),
+    net.NetConfig(channels=12, blocks=1, window=2, heads=3, reduction=3, mlp_ratio=1),
+]
+# (name, shape): SMALL's init weights with that tensor deleted (shape None) or
+# replaced by zeros of that shape, so they are no network of SMALL.
+NO_NETWORK = [
+    ("fe1.1.weight", None),
+    ("block0.s1.cbam.ca_w1", None),
+    ("block0.s1.cbam.ca_w1", (0, 8)),
+    ("block0.s1.cbam.ca_w1", (3, 8)),
+    ("block0.s1.cbam.ca_w1", (16, 8)),
+    ("block0.s1.mlp.w1", (4, 8)),
+    ("block0.s1.mlp.w1", (20, 8)),
+    ("block1.s2.mlp.w1", (24, 8)),
+    ("block3.s1.ln1.gain", (8,)),
+]
+
+
+def edited(name, tensor):
+    """SMALL's seed-0 init weights with name deleted (tensor None) or set to tensor."""
+    w = net.init_weights(SMALL, 0)
+    if tensor is None:
+        del w[name]
+    else:
+        w[name] = tensor
+    return w
 
 
 class TestConfigAndSchema:
@@ -72,42 +99,21 @@ class TestConfigAndSchema:
 class TestConfigFromWeights:
     """load_weights returns the NetConfig a file records, checked against its tensors."""
 
-    @pytest.mark.parametrize("cfg", [
-        SMALL,
-        replace(SMALL, blocks=3, mlp_ratio=3, cross_route="k"),
-        net.NetConfig(channels=12, blocks=1, window=2, heads=3, reduction=3, mlp_ratio=1),
-    ])
+    @pytest.mark.parametrize("cfg", CONFIGS)
     def test_file_records_every_field(self, cfg, tmp_path):
         path = tmp_path / "w.wfw"
         net.save_weights(net.init_weights(cfg, 0), cfg, path)
         assert net.load_weights(path)[1] == cfg
 
-    @pytest.mark.parametrize("name, shape", [
-        ("fe1.1.weight", None),
-        ("block0.s1.cbam.ca_w1", None),
-        ("block0.s1.cbam.ca_w1", (0, 8)),
-        ("block0.s1.cbam.ca_w1", (3, 8)),
-        ("block0.s1.cbam.ca_w1", (16, 8)),
-        ("block0.s1.mlp.w1", (4, 8)),
-        ("block0.s1.mlp.w1", (20, 8)),
-        ("block1.s2.mlp.w1", (24, 8)),
-        ("block3.s1.ln1.gain", (8,)),
-    ])
+    @pytest.mark.parametrize("name, shape", NO_NETWORK)
     def test_weights_that_are_no_network(self, name, shape, tmp_path):
-        w = net.init_weights(SMALL, 0)
-        if shape is None:
-            del w[name]
-        else:
-            w[name] = np.zeros(shape)
-        path = tmp_path / "w.wfw"
-        net.save_weights(w, SMALL, path)
+        w = edited(name, None if shape is None else np.zeros(shape))
+        path = write_wfw(tmp_path / "w.wfw", w, SMALL)
         with pytest.raises(FormatError):
             net.load_weights(path)
 
     def test_heads_must_divide_the_file_channels(self, tmp_path):
-        path = tmp_path / "w.wfw"
-        record = SimpleNamespace(**{**asdict(SMALL), "heads": 3})
-        net.save_weights(net.init_weights(SMALL, 0), record, path)
+        path = write_wfw(tmp_path / "w.wfw", net.init_weights(SMALL, 0), SMALL, heads=3)
         with pytest.raises(FormatError, match="heads"):
             net.load_weights(path)
 
@@ -378,6 +384,42 @@ class TestForward:
         )
         assert np.array_equal(np.load(tmp_path / "one.npy"), net.forward(*pair, w, cfg))
 
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs CPU affinity and at least two usable CPUs",
+    )
+    def test_lanes_alone_keep_the_bits(self, tmp_path):
+        # BLAS's own threads can move the bits with the core count (a default
+        # forward on this 75 x 79 pair differs between two CPUs and one), so
+        # both children hold BLAS to one thread and differ only in the lanes.
+        # The pair pads to 80^2: 75 high-band windows, 1,228,800 logits, past
+        # the 2^20-element gate, so the child on every CPU starts lane threads.
+        child = (
+            "import os, sys, threading\n"
+            "if sys.argv[2] == 'one':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import numpy as np\n"
+            "from wavefuse import network as net\n"
+            "starts, start = [], threading.Thread.start\n"
+            "threading.Thread.start = lambda t: starts.append(t) or start(t)\n"
+            "a, b = np.random.default_rng(0).uniform(0, 1, (2, 75, 79))\n"
+            "cfg = net.NetConfig()\n"
+            "np.save(sys.argv[3], net.forward(a, b, net.init_weights(cfg, 0), cfg))\n"
+            "print(len(starts))\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        src = str(Path(net.__file__).resolve().parent.parent)
+        lanes = {}
+        for cpus in ("all", "one"):
+            done = subprocess.run(
+                [sys.executable, "-c", child, src, cpus, tmp_path / f"{cpus}.npy"],
+                env=env, check=True, timeout=120, capture_output=True, text=True,
+            )
+            lanes[cpus] = int(done.stdout)
+        assert lanes["one"] == 0 < lanes["all"]
+        assert np.array_equal(np.load(tmp_path / "all.npy"), np.load(tmp_path / "one.npy"))
+
     def test_size_mismatch(self, rng):
         w = net.init_weights(SMALL, 0)
         with pytest.raises(ShapeError):
@@ -414,6 +456,32 @@ class TestSerialization:
         path = tmp_path / "w.wfw"
         net.save_weights(w, cfg, path)
         assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("cfg", [*CONFIGS, net.NetConfig()])
+    def test_oracle_writer_gives_the_same_bytes(self, cfg, tmp_path):
+        w = net.init_weights(cfg, 0)
+        path = tmp_path / "w.wfw"
+        net.save_weights(w, cfg, path)
+        assert path.read_bytes() == wfw_bytes(astuple(cfg)[:6], cfg.cross_route, w)
+
+    @pytest.mark.parametrize("name, tensor", [
+        *(pytest.param(name, None if shape is None else np.zeros(shape), id=f"{name}={shape}")
+          for name, shape in NO_NETWORK),
+        pytest.param("fuse.3.bias", np.zeros(3), id="fuse.3.bias=(3,)"),
+        *(pytest.param("fuse.3.bias", np.full(1, value), id=f"fuse.3.bias={value}")
+          for value in (np.nan, np.inf, -np.inf)),
+    ])
+    @pytest.mark.parametrize("exists", [False, True], ids=["absent", "existing"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, name, tensor, exists):
+        # A missing, extra, mis-shaped or non-finite tensor is refused before
+        # the path is opened, so the file is left as it was.
+        path = tmp_path / "w.wfw"
+        if exists:
+            net.save_weights(net.init_weights(SMALL, 1), SMALL, path)
+        before = path.read_bytes() if exists else None
+        with pytest.raises(FormatError, match=re.escape(name)):
+            net.save_weights(edited(name, tensor), SMALL, path)
+        assert (path.read_bytes() if path.exists() else None) == before
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -486,11 +554,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_rejected(self, tmp_path, value):
-        # The CRC is valid: the file holds exactly what was saved.
-        w = net.init_weights(SMALL, 0)
-        w["fuse.3.bias"] = np.full(1, value)
-        path = tmp_path / "w.wfw"
-        net.save_weights(w, SMALL, path)
+        # The CRC is valid: the file holds exactly what was written.
+        path = write_wfw(tmp_path / "w.wfw", edited("fuse.3.bias", np.full(1, value)), SMALL)
         with pytest.raises(FormatError, match=r"fuse\.3\.bias has non-finite"):
             net.load_weights(path)
 
@@ -510,8 +575,7 @@ class TestSerialization:
             net.load_weights(path)
 
     def test_table_that_names_one_tensor_twice(self, tmp_path):
-        path = tmp_path / "w.wfw"
-        net.save_weights({"x": np.zeros(1), "y": np.ones(1)}, SMALL, path)
+        path = write_wfw(tmp_path / "w.wfw", {"x": np.zeros(1), "y": np.ones(1)}, SMALL)
         self.resealed(path, path.read_bytes()[:-4].replace(b"\x01\x00y", b"\x01\x00x"))
         # The tensor count (2, where SMALL's schema has 98) is the first byte that differs.
         with pytest.raises(FormatError, match="schema at byte 35: re-create the file"):
@@ -536,8 +600,7 @@ class TestSerialization:
         assert peak < 10 * 2**20
 
     def test_name_that_is_no_utf8(self, tmp_path):
-        path = tmp_path / "w.wfw"
-        net.save_weights({"\u00e9": np.zeros(1)}, SMALL, path)
+        path = write_wfw(tmp_path / "w.wfw", {"\u00e9": np.zeros(1)}, SMALL)
         body = path.read_bytes()[:-4].replace("\u00e9".encode(), b"\xff\xfe")
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         # One tensor cannot hold SMALL's two blocks: the loader reads no name.

@@ -137,3 +137,12 @@ def test_save_bands_rejects_more_than_one_plane(tmp_path, rng):
     with pytest.raises(ShapeError, match="one plane"):
         save_bands(dwt2(rng.standard_normal((1, 1, 8, 8)))[:, 0], path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(4, 1, 1, 0, 3), (4, 1, 1, 3, 0)])
+def test_save_bands_rejects_empty_bands(tmp_path, shape):
+    # load_bands refuses a file that declares empty bands, so none is written
+    path = tmp_path / "x.bands"
+    with pytest.raises(ShapeError, match="non-empty"):
+        save_bands(np.zeros(shape), path)
+    assert not path.exists()
