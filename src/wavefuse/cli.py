@@ -175,8 +175,8 @@ def _fuse_need(h, w, cfg):
     """What fuse may add to this process's RSS: 8/5 of network.peak_bytes.
     malloc keeps the forward's freed activations in the heap (the package
     raises its thresholds at import), and their fragments took a fresh
-    process's RSS growth, on two BLAS threads, to 1.51 times peak_bytes at
-    256² and 320², and to 1.27 times at 512²."""
+    process's RSS growth to 1.51 times peak_bytes at 256² and 320² (on two
+    BLAS threads), 1.41 times at 190 x 250 (on one) and 1.27 times at 512²."""
     return network.peak_bytes(h, w, cfg) * 8 // 5
 
 

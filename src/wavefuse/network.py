@@ -132,10 +132,12 @@ def _pad_to_multiple(x, mult):
 def enhance_block(f1, f2, index, weights, cfg):
     """One frequency-enhancement block for both modality streams.
 
-    LN -> DWT -> cross-modal band attention -> channel/spatial gating with the
-    detail-band swap -> IWT + residual -> LN -> token MLP + residual.
-    Odd or non-window-aligned inputs are mirror-padded and cropped back; odd
-    blocks shift the windows by half a window. Intermediates die once consumed.
+    LN -> mirror pad -> DWT -> cross-modal band attention -> channel/spatial
+    gating with the detail-band swap -> IWT of the bands under the crop ->
+    crop + residual -> LN -> token MLP + residual. Unaligned inputs are padded
+    after the per-pixel LN and cropped at the IWT (odd sides keep one row or
+    column there), so no padded band outlives it. Odd blocks shift the windows
+    by half a window. Intermediates die once consumed.
     """
     h, wd = f1.shape[2:]
     shift = (index % 2) * (cfg.window // 2)
@@ -143,10 +145,9 @@ def enhance_block(f1, f2, index, weights, cfg):
     def params(name, keys):  # both streams' block{index}.s{m}.{name}.{key} weights, in keys' order
         return [[weights[f"block{index}.s{m}.{name}.{k}"] for k in keys.split()] for m in (1, 2)]
 
-    padded, lows, highs = [], [], []
+    lows, highs = [], []
     for f, ln in zip((f1, f2), params("ln1", "gain shift")):
-        padded.append(_pad_to_multiple(f, 2 * cfg.window))
-        s = dwt2(T.layer_norm(padded[-1], *ln))
+        s = dwt2(_pad_to_multiple(T.layer_norm(f, *ln), 2 * cfg.window))
         # Tokens are copies, so the bands die here; the details are one batch [LH; HL; HH].
         lows.append(window_partition(s[0], cfg.window, shift))
         highs.append(window_partition(s[1:].reshape(-1, *s.shape[2:]), cfg.window, shift))
@@ -159,11 +160,13 @@ def enhance_block(f1, f2, index, weights, cfg):
     del lows, highs
 
     outs = []
-    for ln, (w1, b1, w2, b2) in zip(params("ln2", "gain shift"), params("mlp", "w1 b1 w2 b2")):
+    mlps = zip((f1, f2), params("ln2", "gain shift"), params("mlp", "w1 b1 w2 b2"))
+    for f, ln, (w1, b1, w2, b2) in mlps:
         low, high = streams.pop(0)
-        fprime = iwt2((low, *high.reshape(3, *low.shape)))
+        under = (..., slice(-(-h // 2)), slice(-(-wd // 2)))  # ceil(h/2) x ceil(w/2)
+        fprime = iwt2([b[under] for b in (low, *high.reshape(3, *low.shape))])[..., :h, :wd]
         del low, high
-        fprime += padded.pop(0)
+        fprime += f
         x = T.layer_norm(fprime, *ln)
         # (B, C, H*W): the MLP mixes channels only. Rebinding x frees each input.
         x = w1 @ x.reshape(*x.shape[:2], -1)
@@ -172,24 +175,21 @@ def enhance_block(f1, f2, index, weights, cfg):
         x += b2[:, None]
         x = x.reshape(fprime.shape)
         x += fprime
-        outs.append(x[:, :, :h, :wd])
+        outs.append(x)
     return tuple(outs)
 
 
 def peak_bytes(h, w, cfg):
     """Estimated peak bytes forward allocates on an h x w pair: the two block
-    inputs, plus per padded pixel the larger of two stages, in C channels. At
-    the second high-band logits: padded input copies if any (2C), detail tokens
-    (1.5C), low-band outputs (0.5C), first stream's output (0.75C), q and k
-    (1.5C), logits (0.75 heads window²). In the second token MLP: the first
+    inputs, plus the larger of two stages, in C channels. At the second
+    high-band logits, per padded pixel: detail tokens (1.5C), low-band outputs
+    (0.5C), first stream's output (0.75C), q and k (1.5C), logits (0.75 heads
+    window²). In the second token MLP, per pixel of the h x w crop: the first
     output and fprime (2C), and the hidden layer and one copy (2 mlp_ratio C)."""
-    mult = 2 * cfg.window
+    c, mult = cfg.channels, 2 * cfg.window
     padded = math.ceil(h / mult) * mult * math.ceil(w / mult) * mult
-    c = cfg.channels
-    copies = 2 * c * padded if padded != h * w else 0
-    attention = c * (1.5 + 0.5 + 0.75 + 1.5) + 0.75 * cfg.heads * cfg.window**2
-    mlp = c * (2 + 2 * cfg.mlp_ratio)
-    return int(8 * (2 * c * h * w + max(copies + padded * attention, padded * mlp)))
+    attention = padded * (c * (1.5 + 0.5 + 0.75 + 1.5) + 0.75 * cfg.heads * cfg.window**2)
+    return int(8 * (2 * c * h * w + max(attention, h * w * c * (2 + 2 * cfg.mlp_ratio))))
 
 
 def forward(i1, i2, weights, cfg):

@@ -242,29 +242,32 @@ class TestFuse:
     @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
     def test_fuse_estimate_covers_the_rss_growth(self):
         # A fresh process's peak RSS (ru_maxrss, KiB on Linux) over its RSS
-        # before a 256² default forward, with the heap malloc keeps after a
-        # free: 190 MiB on one BLAS thread, against an estimate of 233 MiB.
+        # before a default forward, with the heap malloc keeps after a free,
+        # on one BLAS thread: 190 MiB at 256², against an estimate of 233 MiB,
+        # and 154 MiB at 190 x 250, which pads to 192 x 256, against 175 MiB.
         pytest.importorskip("resource")
         child = (
             "import os, resource, sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "import numpy as np\n"
             "from wavefuse import cli, network\n"
+            "h, w = map(int, sys.argv[2:])\n"
             "cfg = network.NetConfig()\n"
-            "w = network.init_weights(cfg, 0)\n"
-            "a, b = np.random.default_rng(1).uniform(0, 1, (2, 256, 256))\n"
+            "weights = network.init_weights(cfg, 0)\n"
+            "a, b = np.random.default_rng(1).uniform(0, 1, (2, h, w))\n"
             "with open('/proc/self/statm') as fh:\n"
             "    before = int(fh.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
-            "network.forward(a, b, w, cfg)\n"
+            "network.forward(a, b, weights, cfg)\n"
             "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 - before\n"
-            "print(grown, cli._fuse_need(256, 256, cfg))\n"
+            "print(grown, cli._fuse_need(h, w, cfg))\n"
         )
         src = str(Path(cli.__file__).resolve().parent.parent)
         env = {**os.environ, **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1")}
-        done = subprocess.run([sys.executable, "-c", child, src], capture_output=True,
-                              text=True, check=True, timeout=120, env=env)
-        grown, need = map(int, done.stdout.split())
-        assert 0 < grown <= need
+        for h, w in ((256, 256), (190, 250)):
+            done = subprocess.run([sys.executable, "-c", child, src, str(h), str(w)],
+                                  capture_output=True, text=True, check=True, timeout=120, env=env)
+            grown, need = map(int, done.stdout.split())
+            assert 0 < grown <= need, (h, w)
 
     @pytest.fixture
     def fake_proc(self, tmp_path, monkeypatch):

@@ -343,6 +343,8 @@ class TestForward:
         # a wide MLP moves the peak from the attention to the MLP
         (100, 75, net.NetConfig(mlp_ratio=8, heads=1, window=4)),
         (64, 64, net.NetConfig(mlp_ratio=8)),
+        # pads to 80 x 64 and sets the peak of the benchmark's 24 unaligned pairs
+        (67, 50, net.NetConfig()),
     ])
     def test_peak_bytes_matches_traced_peak(self, rng, h, wd, cfg):
         a, b = rng.uniform(0, 1, (2, h, wd))
@@ -357,43 +359,14 @@ class TestForward:
         not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
         reason="needs CPU affinity and at least two usable CPUs",
     )
-    def test_same_output_on_one_cpu(self, rng, tmp_path):
-        # BLAS threads (softmax_rows' row sums, conv2d's tap products) and the
-        # two lanes of softmax_rows and mhsa (the 128^2 logits pass their
-        # 2^20-element gate) split the work over the cores here and not on
-        # one CPU; the bits agree.
-        cfg = net.NetConfig()
-        w = net.init_weights(cfg, 0)
-        pair = rng.uniform(0, 1, (2, 128, 128))
-        np.save(tmp_path / "pair.npy", pair)
-        child = (
-            "import os, sys\n"
-            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "sys.path.insert(0, sys.argv[1])\n"
-            "import numpy as np\n"
-            "from wavefuse import network as net\n"
-            "a, b = np.load(sys.argv[2])\n"
-            "cfg = net.NetConfig()\n"
-            "np.save(sys.argv[3], net.forward(a, b, net.init_weights(cfg, 0), cfg))\n"
-        )
-        src = str(Path(net.__file__).resolve().parent.parent)
-        subprocess.run(
-            [sys.executable, "-c", child, src, tmp_path / "pair.npy", tmp_path / "one.npy"],
-            check=True,
-            timeout=120,
-        )
-        assert np.array_equal(np.load(tmp_path / "one.npy"), net.forward(*pair, w, cfg))
-
-    @pytest.mark.skipif(
-        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-        reason="needs CPU affinity and at least two usable CPUs",
-    )
     def test_lanes_alone_keep_the_bits(self, tmp_path):
         # BLAS's own threads can move the bits with the core count (a default
-        # forward on this 75 x 79 pair differs between two CPUs and one), so
+        # forward on the 75 x 79 pair differs between two CPUs and one), so
         # both children hold BLAS to one thread and differ only in the lanes.
-        # The pair pads to 80^2: 75 high-band windows, 1,228,800 logits, past
-        # the 2^20-element gate, so the child on every CPU starts lane threads.
+        # Both pairs pass the 2^20-element gate: 75 x 79 pads to 80^2, whose 75
+        # high-band windows hold 1,228,800 logits, and 128^2's 64 low-band
+        # windows hold 2^20. So on each pair the child on every CPU starts lane
+        # threads and the child on one CPU none.
         child = (
             "import os, sys, threading\n"
             "if sys.argv[2] == 'one':\n"
@@ -403,22 +376,30 @@ class TestForward:
             "from wavefuse import network as net\n"
             "starts, start = [], threading.Thread.start\n"
             "threading.Thread.start = lambda t: starts.append(t) or start(t)\n"
-            "a, b = np.random.default_rng(0).uniform(0, 1, (2, 75, 79))\n"
             "cfg = net.NetConfig()\n"
-            "np.save(sys.argv[3], net.forward(a, b, net.init_weights(cfg, 0), cfg))\n"
-            "print(len(starts))\n"
+            "w = net.init_weights(cfg, 0)\n"
+            "outs, lanes = {}, []\n"
+            "for h, wd in ((75, 79), (128, 128)):\n"
+            "    a, b = np.random.default_rng(0).uniform(0, 1, (2, h, wd))\n"
+            "    before = len(starts)\n"
+            "    outs[f'{h}x{wd}'] = net.forward(a, b, w, cfg)\n"
+            "    lanes.append(len(starts) - before)\n"
+            "np.savez(sys.argv[3], **outs)\n"
+            "print(*lanes)\n"
         )
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
         src = str(Path(net.__file__).resolve().parent.parent)
-        lanes = {}
+        lanes, outs = {}, {}
         for cpus in ("all", "one"):
             done = subprocess.run(
-                [sys.executable, "-c", child, src, cpus, tmp_path / f"{cpus}.npy"],
+                [sys.executable, "-c", child, src, cpus, tmp_path / f"{cpus}.npz"],
                 env=env, check=True, timeout=120, capture_output=True, text=True,
             )
-            lanes[cpus] = int(done.stdout)
-        assert lanes["one"] == 0 < lanes["all"]
-        assert np.array_equal(np.load(tmp_path / "all.npy"), np.load(tmp_path / "one.npy"))
+            lanes[cpus] = [int(n) for n in done.stdout.split()]
+            outs[cpus] = dict(np.load(tmp_path / f"{cpus}.npz"))
+        assert lanes["one"] == [0, 0] and len(lanes["all"]) == 2 and min(lanes["all"]) > 0
+        for key, out in outs["all"].items():
+            assert np.array_equal(out, outs["one"][key]), key
 
     def test_size_mismatch(self, rng):
         w = net.init_weights(SMALL, 0)
