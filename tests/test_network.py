@@ -242,6 +242,45 @@ class TestEnhanceBlock:
         assert np.array_equal(o1, o2)
 
 
+NEEDS_TWO_CPUS = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs CPU affinity and at least two usable CPUs",
+)
+
+
+def _assert_lanes_alone_keep_the_bits(tmp_path, h, wd):
+    # BLAS's own threads can move the bits with the core count, so one child
+    # on every CPU and one pinned to one CPU both hold BLAS to one thread and
+    # differ only in the lanes of softmax_rows and mhsa: the first must start
+    # lane threads, the second none, and the outputs must agree bit for bit.
+    child = (
+        "import os, sys, threading\n"
+        "if sys.argv[2] == 'one':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import numpy as np\n"
+        "from wavefuse import network as net\n"
+        "starts, start = [], threading.Thread.start\n"
+        "threading.Thread.start = lambda t: starts.append(t) or start(t)\n"
+        "h, wd = int(sys.argv[4]), int(sys.argv[5])\n"
+        "a, b = np.random.default_rng(0).uniform(0, 1, (2, h, wd))\n"
+        "cfg = net.NetConfig()\n"
+        "np.save(sys.argv[3], net.forward(a, b, net.init_weights(cfg, 0), cfg))\n"
+        "print(len(starts))\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    src = str(Path(net.__file__).resolve().parent.parent)
+    lanes = {}
+    for cpus in ("all", "one"):
+        done = subprocess.run(
+            [sys.executable, "-c", child, src, cpus, tmp_path / f"{cpus}.npy", f"{h}", f"{wd}"],
+            env=env, check=True, timeout=120, capture_output=True, text=True,
+        )
+        lanes[cpus] = int(done.stdout)
+    assert lanes["one"] == 0 < lanes["all"]
+    assert np.array_equal(np.load(tmp_path / "all.npy"), np.load(tmp_path / "one.npy"))
+
+
 class TestForward:
     def test_output_shape_and_range(self, rng):
         w = net.init_weights(SMALL, 0)
@@ -355,51 +394,17 @@ class TestForward:
             # commit before; the default config's peak_bytes is held to it.
             assert peak <= 1.05 * net.peak_bytes(h, wd, cfg)
 
-    @pytest.mark.skipif(
-        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-        reason="needs CPU affinity and at least two usable CPUs",
-    )
+    @NEEDS_TWO_CPUS
+    def test_same_output_on_one_cpu(self, tmp_path):
+        # 128^2's 64 low-band windows hold 2^20 logits, at the lanes' gate.
+        _assert_lanes_alone_keep_the_bits(tmp_path, 128, 128)
+
+    @NEEDS_TWO_CPUS
     def test_lanes_alone_keep_the_bits(self, tmp_path):
-        # BLAS's own threads can move the bits with the core count (a default
-        # forward on the 75 x 79 pair differs between two CPUs and one), so
-        # both children hold BLAS to one thread and differ only in the lanes.
-        # Both pairs pass the 2^20-element gate: 75 x 79 pads to 80^2, whose 75
-        # high-band windows hold 1,228,800 logits, and 128^2's 64 low-band
-        # windows hold 2^20. So on each pair the child on every CPU starts lane
-        # threads and the child on one CPU none.
-        child = (
-            "import os, sys, threading\n"
-            "if sys.argv[2] == 'one':\n"
-            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "sys.path.insert(0, sys.argv[1])\n"
-            "import numpy as np\n"
-            "from wavefuse import network as net\n"
-            "starts, start = [], threading.Thread.start\n"
-            "threading.Thread.start = lambda t: starts.append(t) or start(t)\n"
-            "cfg = net.NetConfig()\n"
-            "w = net.init_weights(cfg, 0)\n"
-            "outs, lanes = {}, []\n"
-            "for h, wd in ((75, 79), (128, 128)):\n"
-            "    a, b = np.random.default_rng(0).uniform(0, 1, (2, h, wd))\n"
-            "    before = len(starts)\n"
-            "    outs[f'{h}x{wd}'] = net.forward(a, b, w, cfg)\n"
-            "    lanes.append(len(starts) - before)\n"
-            "np.savez(sys.argv[3], **outs)\n"
-            "print(*lanes)\n"
-        )
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-        src = str(Path(net.__file__).resolve().parent.parent)
-        lanes, outs = {}, {}
-        for cpus in ("all", "one"):
-            done = subprocess.run(
-                [sys.executable, "-c", child, src, cpus, tmp_path / f"{cpus}.npz"],
-                env=env, check=True, timeout=120, capture_output=True, text=True,
-            )
-            lanes[cpus] = [int(n) for n in done.stdout.split()]
-            outs[cpus] = dict(np.load(tmp_path / f"{cpus}.npz"))
-        assert lanes["one"] == [0, 0] and len(lanes["all"]) == 2 and min(lanes["all"]) > 0
-        for key, out in outs["all"].items():
-            assert np.array_equal(out, outs["one"][key]), key
+        # 75 x 79 pads to 80^2, whose 75 high-band windows hold 1,228,800
+        # logits, past the lanes' gate. With BLAS on every CPU, a default
+        # forward on this pair differs between two CPUs and one.
+        _assert_lanes_alone_keep_the_bits(tmp_path, 75, 79)
 
     def test_size_mismatch(self, rng):
         w = net.init_weights(SMALL, 0)
