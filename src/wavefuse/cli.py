@@ -180,6 +180,13 @@ def _fuse_need(h, w, cfg):
     return network.peak_bytes(h, w, cfg) * 8 // 5
 
 
+def _score_need(h, w):
+    """What metrics may add to this process's RSS: metrics.peak_bytes and 2 MiB
+    for the library code its first calls page in, 0.9 MiB of file-backed RSS
+    in a fresh process at 64² to 1024² (one BLAS thread; numpy 2.4, OpenBLAS)."""
+    return metrics.peak_bytes(h, w) + 2**21
+
+
 def cmd_fuse(args):
     ya, yb, chroma = _load_pair(args)
     weights, cfg = network.load_weights(args.weights)
@@ -223,7 +230,7 @@ def cmd_decompose(args):
 
 def cmd_metrics(args):
     a, b, f = _load_triple(args)
-    _check_memory("scoring", a.shape, metrics.peak_bytes(*a.shape))
+    _check_memory("scoring", a.shape, _score_need(*a.shape))
     sys.stdout.write(metrics.metrics_csv(metrics.score(a, b, f)))
     return EXIT_OK
 

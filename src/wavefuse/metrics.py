@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import losses
 from .errors import ShapeError
 from .imageio import check_images, csv_text
 from .losses import SOBEL_X, SOBEL_Y, SSIM_WINDOW, _sliding, filt, ssim
@@ -42,16 +43,29 @@ class MetricReport:
     fmi: float
 
 
-def _edge_strength(x):
-    """Sobel gradient magnitude, and the x and y responses it is made of."""
+def _strips(n, w):
+    """Slices of n rows of w float64 columns, each about losses._STRIP_BYTES:
+    pointwise and window-local stages hold strips, not whole images."""
+    rows = max(1, losses._STRIP_BYTES // (8 * w))
+    return [slice(i, i + rows) for i in range(0, n, rows)]
+
+
+def _edge_features(x):
+    """Sobel gradient strength and orientation of x, written a row strip at a
+    time over its x and y responses."""
     # Under reflect padding the Sobel response across a side under 3 px is 0.
     if min(x.shape) < 3:
         raise ShapeError(f"edge features need at least 3x3 images, got {x.shape}")
-    sx = filt(x, SOBEL_X)
-    sy = filt(x, SOBEL_Y)
-    sx[np.abs(sx) < EDGE_EPS] = 0.0
-    sy[np.abs(sy) < EDGE_EPS] = 0.0
-    return np.sqrt(sx * sx + sy * sy), sx, sy
+    g, t = filt(x, SOBEL_X), filt(x, SOBEL_Y)
+    for s in _strips(*x.shape):
+        sx, sy = g[s], t[s]
+        sx[np.abs(sx) < EDGE_EPS] = 0.0
+        sy[np.abs(sy) < EDGE_EPS] = 0.0
+        # Where sx is 0 the orientation is arctan(inf) = pi/2.
+        theta = np.divide(sy, sx, out=np.full_like(sx, np.inf), where=sx != 0.0)
+        np.sqrt(sx * sx + sy * sy, out=sx)
+        np.arctan(theta, out=sy)
+    return g, t
 
 
 def _qabf_sigmoid(x, gamma, kappa, sigma):
@@ -61,7 +75,6 @@ def _qabf_sigmoid(x, gamma, kappa, sigma):
 def _preservation(g_src, t_src, g_f, t_f):
     hi = np.maximum(g_src, g_f)
     ratio = np.divide(np.minimum(g_src, g_f), hi, out=np.ones_like(hi), where=hi > 0.0)
-    del hi  # dead: freed before the sigmoids, where Q_abf peaks
     align = 1.0 - np.abs(t_src - t_f) / (np.pi / 2.0)
     qg = _qabf_sigmoid(ratio, QABF_GAMMA_G, QABF_KAPPA_G, QABF_SIGMA_G)
     qt = _qabf_sigmoid(align, QABF_GAMMA_T, QABF_KAPPA_T, QABF_SIGMA_T)
@@ -75,23 +88,21 @@ def q_abf(a, b, f):
     """Edge-strength-weighted average of per-source edge preservation.
 
     Flat triples (no edge energy anywhere) preserve everything vacuously and
-    score 1.
+    score 1. Holds f's and one source's features and the two running sums.
     """
     a, b, f = check_images(a, b, f)
-    feats = []
-    for x in (a, b, f):  # (strength, orientation) of each image
-        g, sx, sy = _edge_strength(x)
-        # Where sx is 0 the orientation is arctan(inf) = pi/2.
-        theta = np.divide(sy, sx, out=np.full_like(sx, np.inf), where=sx != 0.0)
-        feats.append((g, np.arctan(theta, out=theta)))
-    del sx, sy, theta
-    (ga, ta), (gb, tb), (gf, tf) = feats
-    qa = _preservation(ga, ta, gf, tf)
-    qb = _preservation(gb, tb, gf, tf)
-    denom = (ga + gb).sum()
-    if denom == 0.0:
+    gf, tf = _edge_features(f)
+    num, den = np.zeros((2, *f.shape))
+    for x in (a, b):
+        g, t = _edge_features(x)
+        for s in _strips(*f.shape):
+            num[s] += _preservation(g[s], t[s], gf[s], tf[s]) * g[s]
+            den[s] += g[s]
+        del g, t  # freed before the next source's Sobel filters
+    total = den.sum()
+    if total == 0.0:
         return 1.0
-    return float((qa * ga + qb * gb).sum() / denom)
+    return float(num.sum() / total)
 
 
 def _window_mean(x):
@@ -131,23 +142,30 @@ def _q0(x, mean_x, var_x, y, mean_y, var_y):
     return out
 
 
-def q_w(a, b, f):
-    """Piella's index: saliency-weighted Q0 over 8x8 sliding windows."""
-    a, b, f = check_images(a, b, f)
-    if min(a.shape) < QW_WINDOW:
-        raise ShapeError(f"q_w needs at least {QW_WINDOW}x{QW_WINDOW}, got {a.shape}")
-    mean_a, var_a = _window_stats(a)
-    mean_b, var_b = _window_stats(b)
-    mean_f, var_f = _window_stats(f)
+def _weighted_q0(a, b, f, q, c):
+    """Write the saliency-weighted Q0 of every window of a, b and f into q,
+    and its saliency weight max(var_a, var_b) into c."""
+    (mean_a, var_a), (mean_b, var_b), (mean_f, var_f) = map(_window_stats, (a, b, f))
     q0_af = _q0(a, mean_a, var_a, f, mean_f, var_f)
     q0_bf = _q0(b, mean_b, var_b, f, mean_f, var_f)
     sal = var_a + var_b
     lam = np.divide(var_a, sal, out=np.full_like(sal, 0.5), where=sal > 0.0)
-    q = lam * q0_af + (1.0 - lam) * q0_bf
-    del q0_af, q0_bf, sal, lam  # dead: freed before c and c * q, q_w's peak
-    c = np.maximum(var_a, var_b)
+    q[...] = lam * q0_af + (1.0 - lam) * q0_bf
+    np.maximum(var_a, var_b, out=c)
+
+
+def q_w(a, b, f):
+    """Piella's index: saliency-weighted Q0 over 8x8 sliding windows, run over
+    row strips of windows; only the whole Q0 and saliency maps are held."""
+    a, b, f = check_images(a, b, f)
+    if min(a.shape) < QW_WINDOW:
+        raise ShapeError(f"q_w needs at least {QW_WINDOW}x{QW_WINDOW}, got {a.shape}")
+    halo = QW_WINDOW - 1
+    q, c = np.empty((2, a.shape[0] - halo, a.shape[1] - halo))
+    for s in _strips(*q.shape):
+        _weighted_q0(*(x[s.start : s.stop + halo] for x in (a, b, f)), q[s], c[s])
     total = c.sum()
-    return float(q.mean() if total == 0.0 else (c * q).sum() / total)
+    return float(q.mean() if total == 0.0 else np.multiply(c, q, out=q).sum() / total)
 
 
 def _entropy(p):
@@ -197,13 +215,14 @@ def fmi(a, b, f):
     """Mean normalized mutual information between gradient-magnitude features
     of the fused image and each source."""
     a, b, f = check_images(a, b, f)
-    feat_a, feat_b, feat_f = (_edge_strength(x)[0] for x in (a, b, f))
+    feat_a, feat_b, feat_f = (_edge_features(x)[0] for x in (a, b, f))
     bins_f = _bin_index(feat_f.ravel())
     return 0.5 * (_normalized_mi(feat_f, bins_f, feat_a) + _normalized_mi(feat_f, bins_f, feat_b))
 
 
 def score(a, b, f):
     """All metrics for one (source a, source b, fused) triple."""
+    a, b, f = check_images(a, b, f)
     return MetricReport(
         ssim_a=ssim(f, a),
         ssim_b=ssim(f, b),
@@ -214,14 +233,18 @@ def score(a, b, f):
 
 
 def peak_bytes(h, w):
-    """Estimated peak bytes score allocates on an h x w triple, in whole
-    images; Q_w stays under it. Q_abf's second preservation map: the six edge
-    features, the first map, and ratio, align, qg, qt and their product. FMI's
-    second entropy: the three edge features, two bin indices, the joint
-    histogram and its normalisation (256² each), and three arrays of at most
-    one entry per pixel over the nonzero bins."""
-    n = h * w
-    return 8 * max(12 * n, 5 * n + 2 * FMI_BINS**2 + 3 * min(n, FMI_BINS**2))
+    """Estimated peak bytes score allocates on an h x w triple, in images, p
+    images rounded up to filter tiles, and s strips of losses._STRIP_BYTES.
+    Q_abf: two running sums, and five p at its last Sobel filter (outputs
+    holding f's features and the source's x response, padded input) and a
+    strip, or four p and seven s in a preservation map; SSIM's seven images
+    stay under it. Q_w: two maps, thirteen s. FMI's second entropy: three edge
+    features, two bin indices, the joint histogram and its normalisation (256²
+    each), and three arrays of at most one entry per pixel over nonzero bins."""
+    n, p = h * w, (h - h % -losses._TILE) * (w - w % -losses._TILE)
+    s = w * min(h, max(1, losses._STRIP_BYTES // (8 * w)))
+    fmi_peak = 5 * n + 2 * FMI_BINS**2 + 3 * min(n, FMI_BINS**2)
+    return 8 * max(2 * n + 5 * p + s, 2 * n + 4 * p + 7 * s, 2 * n + 13 * s, fmi_peak)
 
 
 def study_peak_bytes(h, w):

@@ -439,6 +439,46 @@ class TestMetricsAndBands:
         assert cli.main(["analyze-bands", a, b, a, "--out", str(csv)]) == 0
         assert csv.read_text() == out
 
+    def test_metrics_mismatch_names_all_three_shapes(self, images, capsys):
+        # score checks its triple on entry, so the error gives the three
+        # shapes in argument order, as analyze-bands does.
+        g = np.random.default_rng(22)
+        a, b, f = (write_image(images[2] / f"{m}.pgm", g.uniform(0, 1, shape))
+                   for m, shape in (("a", (40, 36)), ("b", (40, 36)), ("f", (41, 36))))
+        assert cli.main(["metrics", a, b, f]) == 2
+        captured = capsys.readouterr()
+        assert "got [(40, 36), (40, 36), (41, 36)]" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+    def test_score_estimate_covers_the_rss_growth(self):
+        # A fresh process's peak RSS (VmHWM, which unlike ru_maxrss does not
+        # start at the RSS of the process that spawned it) over its RSS before
+        # score, on one BLAS thread: 15.1 MiB at 512² against an estimate of
+        # 16.3 MiB, and 57.1 MiB at 1024² against 58.3 MiB.
+        child = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import numpy as np\n"
+            "from wavefuse import cli, metrics\n"
+            "def rss(key):\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(s.split()[1]) for s in fh if s.startswith(key)) * 1024\n"
+            "n = int(sys.argv[2])\n"
+            "a, b = np.random.default_rng(1).uniform(0, 1, (2, n, n))\n"
+            "f = 0.5 * (a + b)\n"
+            "before = rss('VmRSS:')\n"
+            "metrics.score(a, b, f)\n"
+            "print(rss('VmHWM:') - before, cli._score_need(n, n))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1")}
+        for n in (512, 1024):
+            done = subprocess.run([sys.executable, "-c", child, src, str(n)],
+                                  capture_output=True, text=True, check=True, timeout=120, env=env)
+            grown, need = map(int, done.stdout.split())
+            assert 0 < grown <= need, n
+
 
 class TestOtherCommands:
     def test_gradcheck(self, capsys):
@@ -517,7 +557,8 @@ def test_refuses_a_job_larger_than_the_headroom(command, tmp_path, weights_path,
     # Each command's estimate at 128x128 exceeds its fake headroom: 1 MiB,
     # or 256 KiB for the band study's 555 KiB. Each exits 2 before any work,
     # names both figures, in KiB below 1 MiB, and writes nothing. gradcheck's
-    # estimate also counts the three images it makes.
+    # estimate also counts the three images it makes, and metrics' the 2 MiB
+    # of library code its first calls page in.
     g = np.random.default_rng(4)
     a, b = (write_image(tmp_path / f"{m}.pgm", smooth_image(g, 128)) for m in "ab")
     out = tmp_path / "out"
@@ -527,8 +568,8 @@ def test_refuses_a_job_larger_than_the_headroom(command, tmp_path, weights_path,
                  f"{fuse_need / 2**20:.1f} MiB, more than the 1.0 MiB"),
         "fuse-opt": ([a, b, "-o", str(out), "--trace", str(tmp_path / "trace.csv")],
                      fusionopt.peak_bytes(128, 128), 2**20, "2.0 MiB, more than the 1.0 MiB"),
-        "metrics": ([a, b, a], metrics.peak_bytes(128, 128), 2**20,
-                    "2.0 MiB, more than the 1.0 MiB"),
+        "metrics": ([a, b, a], cli._score_need(128, 128), 2**20,
+                    "4.0 MiB, more than the 1.0 MiB"),
         "analyze-bands": ([a, b, a, "--out", str(out)], metrics.study_peak_bytes(128, 128),
                           2**18, "555 KiB, more than the 256 KiB"),
         "gradcheck": (["--size", "128"], losses.gradcheck_peak_bytes(128, 128) + 3 * 8 * 128**2,
@@ -550,14 +591,14 @@ def test_each_metrics_command_checks_its_own_estimate(tmp_path, monkeypatch, cap
     g = np.random.default_rng(4)
     a, b = (write_image(tmp_path / f"{m}.pgm", smooth_image(g, 128)) for m in "ab")
     room = 2**20
-    assert metrics.study_peak_bytes(128, 128) < room < metrics.peak_bytes(128, 128)
+    assert metrics.study_peak_bytes(128, 128) < room < cli._score_need(128, 128)
     monkeypatch.setattr(cli, "_headroom", lambda: room)
     out = tmp_path / "study.csv"
     assert cli.main(["analyze-bands", a, b, a, "--out", str(out)]) == 0
     assert out.read_text().startswith("band,src,ssim_low,ssim_high\n")
     assert cli.main(["metrics", a, b, a]) == 2
     captured = capsys.readouterr()
-    assert "scoring 128x128 needs about 2.0 MiB, more than the 1.0 MiB this" in captured.err
+    assert "scoring 128x128 needs about 4.0 MiB, more than the 1.0 MiB this" in captured.err
     assert captured.out == ""
 
 
