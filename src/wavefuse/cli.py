@@ -128,8 +128,7 @@ def _headroom():
     """Bytes this process can still allocate, or None: the smallest readable of
     the soft address-space rlimit less the address-space size; the cgroup v2
     memory.max less the group's use net of its reclaimable inactive file cache;
-    MemAvailable. Thread stacks, BLAS buffers and the heap malloc keeps after a
-    free are not in the estimates; only fuse's allows for that heap (_fuse_need)."""
+    MemAvailable."""
     rooms = []
     try:
         import resource  # not on Windows
@@ -160,37 +159,30 @@ def _size(n):
     return f"{n / 2**20:.1f} MiB" if n >= 2**20 else f"{n / 2**10:.0f} KiB"
 
 
-def _check_memory(verb, shape, need):
-    """Refuse, as an input error, a job whose estimated peak of `need` bytes
-    exceeds what this process can still allocate."""
+def _check_memory(verb, shape, peak):
+    """Turn a library's estimated `peak` bytes into what the command may add to
+    this process's RSS, and return that need, or refuse the job, as an input
+    error, when the need exceeds what this process can still allocate. The
+    need adds a sixteenth for the allocations the estimates leave out and
+    2.25 MiB for the library code and buffers a fresh process pages in."""
+    need = peak + peak // 16 + 9 * 2**18
     room = _headroom()
     if room is not None and need > room:
         raise ValueError(
             f"{verb} {shape[0]}x{shape[1]} needs about {_size(need)}, more than "
             f"the {_size(room)} this process can still allocate"
         )
-
-
-def _fuse_need(h, w, cfg):
-    """What fuse may add to this process's RSS: 8/5 of network.peak_bytes.
-    malloc keeps the forward's freed activations in the heap (the package
-    raises its thresholds at import), and their fragments took a fresh
-    process's RSS growth to 1.51 times peak_bytes at 256² and 320² (on two
-    BLAS threads), 1.41 times at 190 x 250 (on one) and 1.27 times at 512²."""
-    return network.peak_bytes(h, w, cfg) * 8 // 5
-
-
-def _score_need(h, w):
-    """What metrics may add to this process's RSS: metrics.peak_bytes and 2 MiB
-    for the library code its first calls page in, 0.9 MiB of file-backed RSS
-    in a fresh process at 64² to 1024² (one BLAS thread; numpy 2.4, OpenBLAS)."""
-    return metrics.peak_bytes(h, w) + 2**21
+    return need
 
 
 def cmd_fuse(args):
     ya, yb, chroma = _load_pair(args)
     weights, cfg = network.load_weights(args.weights)
-    _check_memory("fusing", ya.shape, _fuse_need(*ya.shape, cfg))
+    # malloc keeps the forward's freed activations in the heap (the package
+    # raises its thresholds at import), so its RSS grows past peak_bytes: by
+    # 1.22 to 1.35 times at 64² to 512² in a fresh process on one or two BLAS
+    # threads.
+    _check_memory("fusing", ya.shape, network.peak_bytes(*ya.shape, cfg) * 3 // 2)
     _emit_color(network.forward(ya, yb, weights, cfg), chroma, args.output)
     return EXIT_OK
 
@@ -230,7 +222,7 @@ def cmd_decompose(args):
 
 def cmd_metrics(args):
     a, b, f = _load_triple(args)
-    _check_memory("scoring", a.shape, _score_need(*a.shape))
+    _check_memory("scoring", a.shape, metrics.peak_bytes(*a.shape))
     sys.stdout.write(metrics.metrics_csv(metrics.score(a, b, f)))
     return EXIT_OK
 
@@ -251,8 +243,10 @@ def cmd_gradcheck(args):
     n = args.size  # the check runs before the three n x n images exist, so it counts them
     if n < 1:
         raise ValueError(f"--size must be at least 1, got {n}")
-    _check_memory("gradient-checking", (n, n), losses.gradcheck_peak_bytes(n, n) + 3 * 8 * n * n)
+    # numpy.random loads on first use, about 6 MiB of RSS in a fresh process:
+    # loaded before the check, it is in the room the check reads, not the need.
     rng = np.random.default_rng(args.seed)
+    _check_memory("gradient-checking", (n, n), losses.gradcheck_peak_bytes(n, n) + 3 * 8 * n * n)
     f, a, b = (smooth_image(rng, n) for _ in range(3))
     try:
         err = losses.gradcheck(f, a, b, seed=args.seed)

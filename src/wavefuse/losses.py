@@ -100,16 +100,21 @@ def _band(taps):
     return b.ravel()[: _TILE * (_TILE + len(taps) - 1)].reshape(_TILE, -1).T.copy()
 
 
+def _strips(n, row_bytes):
+    """Slices of n rows of row_bytes each: whole tiles of rows, about
+    _STRIP_BYTES a strip and at least one tile."""
+    rows = max(_TILE, _STRIP_BYTES // row_bytes // _TILE * _TILE)
+    return [slice(i, i + rows) for i in range(0, n, rows)]
+
+
 def _by_strips(fn, x, halo, width):
     """Run fn(strip, out) over strips of x, writing one output array of halo
     fewer rows than x and `width` columns. fn is row-local: output row i reads
     input rows i to i + halo. Strips are whole tiles of rows, so each row is
     computed as in one pass over x and the bits agree."""
-    n = x.shape[0] - halo
-    rows = max(_TILE, _STRIP_BYTES // x[0].nbytes // _TILE * _TILE)
-    out = np.empty((n, width), x.dtype)
-    for i in range(0, n, rows):
-        fn(x[i : i + rows + halo], out[i : i + rows])
+    out = np.empty((x.shape[0] - halo, width), x.dtype)
+    for s in _strips(len(out), x[0].nbytes):
+        fn(x[s.start : s.stop + halo], out[s])
     return out
 
 

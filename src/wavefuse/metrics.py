@@ -13,7 +13,7 @@ import numpy as np
 from . import losses
 from .errors import ShapeError
 from .imageio import check_images, csv_text
-from .losses import SOBEL_X, SOBEL_Y, SSIM_WINDOW, _sliding, filt, ssim
+from .losses import SOBEL_X, SOBEL_Y, SSIM_WINDOW, _sliding, _strips, filt, ssim
 from .wavelet import dwt2
 
 QABF_GAMMA_G = 0.9994
@@ -43,13 +43,6 @@ class MetricReport:
     fmi: float
 
 
-def _strips(n, w):
-    """Slices of n rows of w float64 columns, each about losses._STRIP_BYTES:
-    pointwise and window-local stages hold strips, not whole images."""
-    rows = max(1, losses._STRIP_BYTES // (8 * w))
-    return [slice(i, i + rows) for i in range(0, n, rows)]
-
-
 def _edge_features(x):
     """Sobel gradient strength and orientation of x, written a row strip at a
     time over its x and y responses."""
@@ -57,7 +50,7 @@ def _edge_features(x):
     if min(x.shape) < 3:
         raise ShapeError(f"edge features need at least 3x3 images, got {x.shape}")
     g, t = filt(x, SOBEL_X), filt(x, SOBEL_Y)
-    for s in _strips(*x.shape):
+    for s in _strips(len(x), x[0].nbytes):
         sx, sy = g[s], t[s]
         sx[np.abs(sx) < EDGE_EPS] = 0.0
         sy[np.abs(sy) < EDGE_EPS] = 0.0
@@ -95,7 +88,7 @@ def q_abf(a, b, f):
     num, den = np.zeros((2, *f.shape))
     for x in (a, b):
         g, t = _edge_features(x)
-        for s in _strips(*f.shape):
+        for s in _strips(len(f), f[0].nbytes):
             num[s] += _preservation(g[s], t[s], gf[s], tf[s]) * g[s]
             den[s] += g[s]
         del g, t  # freed before the next source's Sobel filters
@@ -162,7 +155,7 @@ def q_w(a, b, f):
         raise ShapeError(f"q_w needs at least {QW_WINDOW}x{QW_WINDOW}, got {a.shape}")
     halo = QW_WINDOW - 1
     q, c = np.empty((2, a.shape[0] - halo, a.shape[1] - halo))
-    for s in _strips(*q.shape):
+    for s in _strips(len(q), q[0].nbytes):
         _weighted_q0(*(x[s.start : s.stop + halo] for x in (a, b, f)), q[s], c[s])
     total = c.sum()
     return float(q.mean() if total == 0.0 else np.multiply(c, q, out=q).sum() / total)
@@ -234,7 +227,8 @@ def score(a, b, f):
 
 def peak_bytes(h, w):
     """Estimated peak bytes score allocates on an h x w triple, in images, p
-    images rounded up to filter tiles, and s strips of losses._STRIP_BYTES.
+    images rounded up to filter tiles, and s strips (whole tiles of rows of
+    about losses._STRIP_BYTES, as the strip loops take them).
     Q_abf: two running sums, and five p at its last Sobel filter (outputs
     holding f's features and the source's x response, padded input) and a
     strip, or four p and seven s in a preservation map; SSIM's seven images
@@ -242,7 +236,7 @@ def peak_bytes(h, w):
     features, two bin indices, the joint histogram and its normalisation (256²
     each), and three arrays of at most one entry per pixel over nonzero bins."""
     n, p = h * w, (h - h % -losses._TILE) * (w - w % -losses._TILE)
-    s = w * min(h, max(1, losses._STRIP_BYTES // (8 * w)))
+    s = w * min(h, _strips(h, 8 * w)[0].stop)
     fmi_peak = 5 * n + 2 * FMI_BINS**2 + 3 * min(n, FMI_BINS**2)
     return 8 * max(2 * n + 5 * p + s, 2 * n + 4 * p + 7 * s, 2 * n + 13 * s, fmi_peak)
 

@@ -201,13 +201,16 @@ class TestFuse:
         assert not out.exists()
 
     @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
-    def test_memory_check_under_address_space_limit(self, tmp_path):
+    def test_memory_check_under_address_space_limit(self, tmp_path, monkeypatch):
         # Once numpy is loaded, the child caps its own address space halfway
-        # between fuse's 64² and 512² default-config estimates: the 512² forward
+        # between fuse's 64² and 512² default-config needs: the 512² forward
         # is refused up front and the 64² one still fuses. One BLAS thread
         # keeps the untracked per-thread buffers small on any core count.
         pytest.importorskip("resource")
         cfg = network.NetConfig()
+        monkeypatch.setattr(cli, "_headroom", lambda: None)
+        need = {n: cli._check_memory("fusing", (n, n), network.peak_bytes(n, n, cfg) * 3 // 2)
+                for n in (64, 512)}
         wpath = str(tmp_path / "w.wfw")
         network.save_weights(network.init_weights(cfg, 0), cfg, wpath)
         child = (
@@ -222,7 +225,7 @@ class TestFuse:
             "sys.exit(cli.main(sys.argv[3:]))\n"
         )
         src = str(Path(cli.__file__).resolve().parent.parent)
-        extra = (cli._fuse_need(64, 64, cfg) + cli._fuse_need(512, 512, cfg)) // 2
+        extra = (need[64] + need[512]) // 2
         env = {**os.environ, **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1")}
         g = np.random.default_rng(5)
         runs = {}
@@ -234,40 +237,10 @@ class TestFuse:
                 text=True, timeout=120, env=env,
             )
         assert runs[512].returncode == 2, runs[512].stderr
-        assert f"{cli._fuse_need(512, 512, cfg) / 2**20:.1f} MiB" in runs[512].stderr
+        assert f"{need[512] / 2**20:.1f} MiB" in runs[512].stderr
         assert not (tmp_path / "f512.pgm").exists()
         assert runs[64].returncode == 0, runs[64].stderr
         assert load_pnm(str(tmp_path / "f64.pgm")).shape == (64, 64)
-
-    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
-    def test_fuse_estimate_covers_the_rss_growth(self):
-        # A fresh process's peak RSS (ru_maxrss, KiB on Linux) over its RSS
-        # before a default forward, with the heap malloc keeps after a free,
-        # on one BLAS thread: 190 MiB at 256², against an estimate of 233 MiB,
-        # and 154 MiB at 190 x 250, which pads to 192 x 256, against 175 MiB.
-        pytest.importorskip("resource")
-        child = (
-            "import os, resource, sys\n"
-            "sys.path.insert(0, sys.argv[1])\n"
-            "import numpy as np\n"
-            "from wavefuse import cli, network\n"
-            "h, w = map(int, sys.argv[2:])\n"
-            "cfg = network.NetConfig()\n"
-            "weights = network.init_weights(cfg, 0)\n"
-            "a, b = np.random.default_rng(1).uniform(0, 1, (2, h, w))\n"
-            "with open('/proc/self/statm') as fh:\n"
-            "    before = int(fh.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
-            "network.forward(a, b, weights, cfg)\n"
-            "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 - before\n"
-            "print(grown, cli._fuse_need(h, w, cfg))\n"
-        )
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = {**os.environ, **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1")}
-        for h, w in ((256, 256), (190, 250)):
-            done = subprocess.run([sys.executable, "-c", child, src, str(h), str(w)],
-                                  capture_output=True, text=True, check=True, timeout=120, env=env)
-            grown, need = map(int, done.stdout.split())
-            assert 0 < grown <= need, (h, w)
 
     @pytest.fixture
     def fake_proc(self, tmp_path, monkeypatch):
@@ -450,36 +423,6 @@ class TestMetricsAndBands:
         assert "got [(40, 36), (40, 36), (41, 36)]" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
-    def test_score_estimate_covers_the_rss_growth(self):
-        # A fresh process's peak RSS (VmHWM, which unlike ru_maxrss does not
-        # start at the RSS of the process that spawned it) over its RSS before
-        # score, on one BLAS thread: 15.1 MiB at 512² against an estimate of
-        # 16.3 MiB, and 57.1 MiB at 1024² against 58.3 MiB.
-        child = (
-            "import sys\n"
-            "sys.path.insert(0, sys.argv[1])\n"
-            "import numpy as np\n"
-            "from wavefuse import cli, metrics\n"
-            "def rss(key):\n"
-            "    with open('/proc/self/status') as fh:\n"
-            "        return next(int(s.split()[1]) for s in fh if s.startswith(key)) * 1024\n"
-            "n = int(sys.argv[2])\n"
-            "a, b = np.random.default_rng(1).uniform(0, 1, (2, n, n))\n"
-            "f = 0.5 * (a + b)\n"
-            "before = rss('VmRSS:')\n"
-            "metrics.score(a, b, f)\n"
-            "print(rss('VmHWM:') - before, cli._score_need(n, n))\n"
-        )
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = {**os.environ, **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1")}
-        for n in (512, 1024):
-            done = subprocess.run([sys.executable, "-c", child, src, str(n)],
-                                  capture_output=True, text=True, check=True, timeout=120, env=env)
-            grown, need = map(int, done.stdout.split())
-            assert 0 < grown <= need, n
-
-
 class TestOtherCommands:
     def test_gradcheck(self, capsys):
         assert cli.main(["gradcheck", "--size", "32"]) == 0
@@ -554,52 +497,95 @@ def test_peak_bytes_match_traced_peaks(h, w, monkeypatch):
 @pytest.mark.parametrize("command", ["fuse", "fuse-opt", "metrics", "analyze-bands", "gradcheck"])
 def test_refuses_a_job_larger_than_the_headroom(command, tmp_path, weights_path, monkeypatch,
                                                  capsys):
-    # Each command's estimate at 128x128 exceeds its fake headroom: 1 MiB,
-    # or 256 KiB for the band study's 555 KiB. Each exits 2 before any work,
-    # names both figures, in KiB below 1 MiB, and writes nothing. gradcheck's
-    # estimate also counts the three images it makes, and metrics' the 2 MiB
-    # of library code its first calls page in.
+    # Each command's need at 128x128 exceeds a fake headroom of 1 MiB: it
+    # exits 2 before any work, names both figures and writes nothing. Each
+    # need is the library's peak estimate, a sixteenth more and 2.25 MiB; fuse's
+    # peak is 3/2 of network.peak_bytes (9.7 MiB here), and gradcheck's counts
+    # the three images it makes.
     g = np.random.default_rng(4)
     a, b = (write_image(tmp_path / f"{m}.pgm", smooth_image(g, 128)) for m in "ab")
     out = tmp_path / "out"
-    fuse_need = cli._fuse_need(128, 128, network.load_weights(weights_path)[1])
-    argv, need, room, text = {
-        "fuse": ([a, b, "--weights", weights_path, "-o", str(out)], fuse_need, 2**20,
-                 f"{fuse_need / 2**20:.1f} MiB, more than the 1.0 MiB"),
-        "fuse-opt": ([a, b, "-o", str(out), "--trace", str(tmp_path / "trace.csv")],
-                     fusionopt.peak_bytes(128, 128), 2**20, "2.0 MiB, more than the 1.0 MiB"),
-        "metrics": ([a, b, a], cli._score_need(128, 128), 2**20,
-                    "4.0 MiB, more than the 1.0 MiB"),
-        "analyze-bands": ([a, b, a, "--out", str(out)], metrics.study_peak_bytes(128, 128),
-                          2**18, "555 KiB, more than the 256 KiB"),
-        "gradcheck": (["--size", "128"], losses.gradcheck_peak_bytes(128, 128) + 3 * 8 * 128**2,
-                      2**20, "2.6 MiB, more than the 1.0 MiB"),
+    argv, need = {
+        "fuse": ([a, b, "--weights", weights_path, "-o", str(out)], "17.0 MiB"),
+        "fuse-opt": ([a, b, "-o", str(out), "--trace", str(tmp_path / "trace.csv")], "4.4 MiB"),
+        "metrics": ([a, b, a], "4.4 MiB"),
+        "analyze-bands": ([a, b, a, "--out", str(out)], "2.8 MiB"),
+        "gradcheck": (["--size", "128"], "5.0 MiB"),
     }[command]
-    assert need > room
     before = set(tmp_path.iterdir())
-    monkeypatch.setattr(cli, "_headroom", lambda: room)
+    monkeypatch.setattr(cli, "_headroom", lambda: 2**20)
     assert cli.main([command, *argv]) == 2
     captured = capsys.readouterr()
-    assert f"needs about {text} this process can still allocate" in captured.err
+    assert f"needs about {need}, more than the 1.0 MiB this process can still" in captured.err
     assert captured.out == ""
     assert set(tmp_path.iterdir()) == before
 
 
 def test_each_metrics_command_checks_its_own_estimate(tmp_path, monkeypatch, capsys):
-    # A headroom between the band study's estimate and score's lets
-    # analyze-bands run and still refuses metrics.
+    # A headroom of 3 MiB, between the band study's need (2.8 MiB) and
+    # score's (4.4 MiB), lets analyze-bands run and still refuses metrics.
     g = np.random.default_rng(4)
     a, b = (write_image(tmp_path / f"{m}.pgm", smooth_image(g, 128)) for m in "ab")
-    room = 2**20
-    assert metrics.study_peak_bytes(128, 128) < room < cli._score_need(128, 128)
-    monkeypatch.setattr(cli, "_headroom", lambda: room)
+    monkeypatch.setattr(cli, "_headroom", lambda: 3 * 2**20)
     out = tmp_path / "study.csv"
     assert cli.main(["analyze-bands", a, b, a, "--out", str(out)]) == 0
     assert out.read_text().startswith("band,src,ssim_low,ssim_high\n")
     assert cli.main(["metrics", a, b, a]) == 2
     captured = capsys.readouterr()
-    assert "scoring 128x128 needs about 4.0 MiB, more than the 1.0 MiB this" in captured.err
+    assert "scoring 128x128 needs about 4.4 MiB, more than the 3.0 MiB this" in captured.err
     assert captured.out == ""
+
+
+# Each command at two sizes; each child takes under about 2 s.
+RSS_JOBS = [("fuse", 190, 250), ("fuse", 256, 256), ("fuse-opt", 64, 64), ("fuse-opt", 256, 256),
+            ("metrics", 512, 512), ("metrics", 1024, 1024), ("analyze-bands", 256, 256),
+            ("analyze-bands", 1024, 1024), ("gradcheck", 64, 64), ("gradcheck", 256, 256)]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+@pytest.mark.parametrize("command, h, w", RSS_JOBS, ids=[f"{c}-{h}x{w}" for c, h, w in RSS_JOBS])
+def test_rss_growth_stays_within_the_need(command, h, w, tmp_path):
+    # Each command runs through cli.main in a fresh process on one BLAS
+    # thread. A wrapper on the memory check notes the RSS there and the need
+    # the check computed; the peak RSS from the check to exit (VmHWM, which
+    # unlike ru_maxrss does not start at the RSS of the process that spawned
+    # it) must not grow past that need.
+    child = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from wavefuse import cli, losses\n"
+        "def rss(key):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(s.split()[1]) for s in fh if s.startswith(key)) * 1024\n"
+        "check, seen = cli._check_memory, []\n"
+        "def recorded(*args):\n"
+        "    seen.append(rss('VmRSS:'))\n"
+        "    seen.append(check(*args))\n"
+        "    return seen[-1]\n"
+        "cli._check_memory = recorded\n"
+        "losses.GRADCHECK_SAMPLES = 2  # each finite difference reaches the same peak\n"
+        "code = cli.main(sys.argv[2:])\n"
+        "before, need = seen\n"
+        "print(code, rss('VmHWM:') - before, need)\n"
+    )
+    g = np.random.default_rng(6)
+    a, b, f = (write_image(tmp_path / f"{m}.pgm", g.uniform(0, 1, (h, w))) for m in "abf")
+    wpath, cfg = tmp_path / "w.wfw", network.NetConfig()
+    network.save_weights(network.init_weights(cfg, 0), cfg, wpath)
+    argv = {
+        "fuse": [a, b, "--weights", str(wpath), "-o", str(tmp_path / "out.pgm")],
+        "fuse-opt": [a, b, "-o", str(tmp_path / "out.pgm"), "--iters", "5"],
+        "metrics": [a, b, f],
+        "analyze-bands": [a, b, f, "--out", str(tmp_path / "out.csv")],
+        "gradcheck": ["--size", str(h)],
+    }[command]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1")}
+    done = subprocess.run([sys.executable, "-c", child, src, command, *argv],
+                          capture_output=True, text=True, check=True, timeout=120, env=env)
+    code, grown, need = map(int, done.stdout.split()[-3:])  # after the command's own output
+    assert code == 0, done.stderr
+    assert 0 < grown <= need, (grown, need)
 
 
 @pytest.mark.parametrize("command", ["fuse", "metrics"])

@@ -121,7 +121,8 @@ class TestQw:
 
     def test_peak_memory_256(self):
         # q_w's own count: its Q0 and weight maps, 249² each, and thirteen
-        # strips of 128 rows (losses._STRIP_BYTES of float64 over 256 columns).
+        # strips of 128 rows (losses._STRIP_BYTES of float64 over 249 window
+        # columns, 131 rows, rounded down to whole 16-row tiles).
         a, b, f = triple(16, size=256)
         tracemalloc.start()
         try:
@@ -299,17 +300,18 @@ STRIPPED = {"q_abf": (M.q_abf, qabf_naive, 3, 0), "q_w": (M.q_w, qw_naive, 8, M.
 @pytest.mark.parametrize("name", STRIPPED)
 @pytest.mark.parametrize("width", ["narrow", "wide"])
 def test_strips_keep_the_bits(name, width, monkeypatch):
-    # Strips of one row (the smallest budget), of five rows and of the whole
-    # image give the same bits; heights: the smallest side, five rows less
-    # one, five, five plus one, and 13, no multiple of five (window rows for
-    # Q_w). The one-strip result is the oracle's within its tolerance.
+    # Strips of one tile of 16 rows (the smallest budget), of two tiles and
+    # of the whole image give the same bits; heights: the smallest side, one
+    # tile less one row, one tile, one tile plus one row, and 40, which takes
+    # three one-tile strips (window rows for Q_w). The one-strip result is the
+    # oracle's within its tolerance.
     fn, oracle, side, halo = STRIPPED[name]
     w = side if width == "narrow" else 70
     g = np.random.default_rng(23)
-    for h in (side, 4 + halo, 5 + halo, 6 + halo, 13 + halo):
+    for h in (side, 15 + halo, 16 + halo, 17 + halo, 40 + halo):
         a, b, f = g.uniform(0, 1, (3, h, w))
         got = []
-        for budget in (1, 8 * 5 * (w - halo), 8 * h * w):
+        for budget in (1, 8 * 32 * (w - halo), 8 * h * w):
             monkeypatch.setattr(losses, "_STRIP_BYTES", budget)
             got.append(fn(a, b, f))
         assert got[0] == got[1] == got[2], (h, got)
