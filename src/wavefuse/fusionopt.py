@@ -47,14 +47,16 @@ class OptTrace:
 
 
 def peak_bytes(h, w):
-    """Estimated peak bytes optimize allocates on an h x w pair: 16 images,
-    met in the second SSIM term's partials during a line search. optimize
-    holds the fused image, its gradient and the candidate; loss_total its
-    running gradient sum; loss_ssim the first SSIM term's gradient; and
-    _ssim_value_grad the two window means, the four SSIM factors, d_mu, d_var
-    and d_cov's three temporaries. On arrays over 256 KiB numpy reuses one of
-    those temporaries in place, so the true peak is one image lower."""
-    return 16 * 8 * h * w
+    """Estimated peak bytes optimize allocates on an h x w pair: 14 images.
+    13 are met in the second SSIM term during a line search: optimize holds
+    the fused image, its gradient and the candidate; loss_total its running
+    gradient sum; loss_ssim the first SSIM term's gradient; and
+    _ssim_value_grad the two window means, the four SSIM factors, the SSIM
+    map and the reciprocal of its denominator. One more covers the filters'
+    tile padding and, on arrays under 256 KiB, where numpy reuses no
+    temporary in place, the texture gradient's temporaries, which peak there
+    (14.2 images at 128x128, 15.7 at 64x64)."""
+    return 14 * 8 * h * w
 
 
 def optimize(a, b, cfg=OptConfig()):

@@ -171,10 +171,12 @@ def filt_adjoint(g, k):
     return reflect_pad_adjoint(_separable(g, kr[::-1], kc[::-1], len(kr) - 1, False), len(kr) // 2)
 
 
-def loss_intensity(f, a, b, w):
+def loss_intensity(f, a, b, w, with_grad=True):
     """Mean L1 pull toward both sources (weights w.alpha1, w.alpha2); sign(0) = 0."""
     n = f.size
     value = w.alpha1 * np.abs(f - a).sum() / n + w.alpha2 * np.abs(f - b).sum() / n
+    if not with_grad:
+        return value, None
     grad = (w.alpha1 * np.sign(f - a) + w.alpha2 * np.sign(f - b)) / n
     return value, grad
 
@@ -187,12 +189,14 @@ def _texture_terms(f, a, b):
     return sxf, syf, np.abs(sxf) + np.abs(syf) - np.maximum(ga, gb)
 
 
-def loss_texture(f, a, b):
+def loss_texture(f, a, b, with_grad=True):
     """Mean L1 distance between |grad f| and the pointwise max of the source
     gradient magnitudes; gradient via the Sobel adjoints."""
     n = f.size
     sxf, syf, diff = _texture_terms(f, a, b)
     value = np.abs(diff).sum() / n
+    if not with_grad:
+        return value, None
     up = np.sign(diff) / n
     grad = filt_adjoint(up * np.sign(sxf), SOBEL_X) + filt_adjoint(up * np.sign(syf), SOBEL_Y)
     return value, grad
@@ -232,57 +236,86 @@ def ssim(x, y):
     return float((a1 * a2 / (b1 * b2)).mean())
 
 
-def _ssim_value_grad(f, a):
-    """Mean SSIM(f, a) and its closed-form derivative w.r.t. f."""
+def _ssim_value_grad(f, a, with_grad=True):
+    """Mean SSIM(f, a) and, if with_grad, its closed-form derivative w.r.t. f."""
     g = gaussian_window()
-    n = f.size
     mu_f, mu_a, a1, a2, b1, b2 = _ssim_terms(f, a, g)
-    value = float((a1 * a2 / (b1 * b2)).mean())
-    # Partials of the per-pixel map w.r.t. the filtered statistics.
-    d_mu = 2.0 * mu_a * a2 / (b1 * b2) - 2.0 * mu_f * a1 * a2 / (b1**2 * b2)
-    d_var = -a1 * a2 / (b1 * b2**2)
-    d_cov = 2.0 * a1 / (b1 * b2)
-    del a1, a2, b1, b2
+    s = a1 * a2
+    p = b1 * b2
+    s /= p  # the SSIM map, as ssim computes it
+    value = float(s.mean())
+    if not with_grad:
+        return value, None
+    # Partials of the map s = a1*a2 / (b1*b2) w.r.t. the window statistics,
+    # from p = 1 / (b1*b2): d_cov = 2*a1*p, d_var = -s/b2, and for the mean
+    # d_mu - 2*mu_f*d_var - mu_a*d_cov = 2*mu_a*p*(a2 - a1) + 2*mu_f*s*(1/b2 - 1/b1).
+    # Each is written over a factor it no longer needs.
+    np.reciprocal(p, out=p)
+    a2 -= a1  # a2 becomes up_mu: first 2*mu_a*p*(a2 - a1)
+    a2 *= p
+    a2 *= mu_a
+    a2 *= 2.0
+    del mu_a
+    a1 *= p  # a1 becomes d_cov
+    a1 *= 2.0
+    del p
+    mu_f *= s  # mu_f becomes 2*mu_f*s
+    mu_f *= 2.0
+    s /= b2  # s becomes -d_var
+    np.reciprocal(b1, out=b1)
+    np.reciprocal(b2, out=b2)
+    b2 -= b1  # b2 becomes 1/b2 - 1/b1, then up_mu's second part
+    del b1
+    b2 *= mu_f
+    del mu_f
+    a2 += b2
+    del b2
     # mu_f, var_f and cov all depend on f; fold each chain through the window,
-    # summing in place in the order (up_mu + var + cov) / n.
-    up_mu = d_mu - 2.0 * mu_f * d_var - mu_a * d_cov
-    del d_mu, mu_f, mu_a
-    grad = filt_adjoint(up_mu, g)
-    del up_mu
-    grad += 2.0 * f * filt_adjoint(d_var, g)
-    del d_var
-    grad += a * filt_adjoint(d_cov, g)
-    grad /= n
+    # summing in place in the order (up_mu + var + cov) / n, d_var's sign
+    # folded into its subtraction.
+    grad = filt_adjoint(a2, g)
+    del a2
+    grad -= 2.0 * (f * filt_adjoint(s, g))
+    del s
+    grad += a * filt_adjoint(a1, g)
+    grad /= f.size
     return value, grad
 
 
-def loss_ssim(f, a, b, w):
-    """w.gamma1*(1 - SSIM(f,a)) + w.gamma2*(1 - SSIM(f,b)) with analytic gradient."""
-    va, ga = _ssim_value_grad(f, a)
-    vb, gb = _ssim_value_grad(f, b)
+def loss_ssim(f, a, b, w, with_grad=True):
+    """w.gamma1*(1 - SSIM(f,a)) + w.gamma2*(1 - SSIM(f,b)) and, if with_grad,
+    its analytic gradient."""
+    va, ga = _ssim_value_grad(f, a, with_grad)
+    vb, gb = _ssim_value_grad(f, b, with_grad)
     value = w.gamma1 * (1.0 - va) + w.gamma2 * (1.0 - vb)
-    grad = -w.gamma1 * ga - w.gamma2 * gb
-    return value, grad
+    if with_grad:
+        ga *= -w.gamma1
+        gb *= w.gamma2
+        ga -= gb
+    return value, ga
 
 
 def loss_total(f, a, b, w=LossWeights(), with_grad=True):
-    """Weighted sum of the three terms and its gradient in f, summed in place;
-    the loss path's one image check, which the terms below it trust."""
+    """Weighted sum of the three terms and, if with_grad, its gradient in f,
+    summed in place; the loss path's one image check, which the terms below
+    it trust. Without the gradient no term computes one."""
     f, a, b = check_images(f, a, b)
-    l_int, grad = loss_intensity(f, a, b, w)
-    grad *= w.alpha
-    l_text, g = loss_texture(f, a, b)
-    grad += w.beta * g
+    l_int, grad = loss_intensity(f, a, b, w, with_grad)
+    l_text, g = loss_texture(f, a, b, with_grad)
+    if with_grad:
+        grad *= w.alpha
+        grad += w.beta * g
     del g
-    l_ssim, g = loss_ssim(f, a, b, w)
-    grad += w.gamma * g
+    l_ssim, g = loss_ssim(f, a, b, w, with_grad)
+    if with_grad:
+        grad += w.gamma * g
     total = w.alpha * l_int + w.beta * l_text + w.gamma * l_ssim
     return LossReport(
         total=float(total),
         l_int=float(l_int),
         l_text=float(l_text),
         l_ssim=float(l_ssim),
-        grad=grad if with_grad else None,
+        grad=grad,
     )
 
 
@@ -337,8 +370,12 @@ def gradcheck(f, a, b, w=LossWeights(), seed=0):
 
 
 def gradcheck_peak_bytes(h, w):
-    """Estimated peak bytes gradcheck allocates on an h x w triple: 18 images,
-    met in a finite difference's loss_total. Its 13-image working set sits
-    beside the analytic gradient, the two perturbed copies and the kink-free
-    pixel indices (two int64 per pixel at most)."""
-    return 18 * 8 * h * w
+    """Estimated peak bytes gradcheck allocates on an h x w triple: 14 images.
+    13 are met in a finite difference's value-only loss_total: its 8-image
+    working set, the SSIM term's window means, four factors, map and the
+    map's denominator, beside the analytic gradient, the two perturbed copies
+    and the kink-free pixel indices (two int64 per pixel at most). One more
+    covers the heap's fragments: the many image-sized blocks the finite
+    differences free and take again raised a fresh process's RSS about one
+    image past the traced peak at 512x512 and 1024x1024."""
+    return 14 * 8 * h * w

@@ -29,17 +29,23 @@ def reflect(i, n):
     return period - i if i >= n else i
 
 
+def _reflected(n, k):
+    """Per output index i < n, the reflected indices i + u - r of the k taps."""
+    r = k // 2
+    return [[reflect(i + u - r, n) for u in range(k)] for i in range(n)]
+
+
 def correlate_reflect(x, k):
     h, w = x.shape
-    kh = len(k)
-    r = kh // 2
+    x = x.tolist()
+    cols = _reflected(w, len(k))
     out = np.zeros((h, w))
-    for i in range(h):
+    for i, rows in enumerate(_reflected(h, len(k))):
         for j in range(w):
             s = 0.0
-            for u in range(kh):
-                for v in range(kh):
-                    s += x[reflect(i + u - r, h), reflect(j + v - r, w)] * k[u][v]
+            for u, ku in zip(rows, k):
+                for v, kuv in zip(cols[j], ku):
+                    s += x[u][v] * kuv
             out[i, j] = s
     return out
 
@@ -48,15 +54,15 @@ def correlate_reflect_adjoint(g, k):
     """Adjoint of correlate_reflect: scatter each output through the kernel
     onto the pixels its reflect-padded window read."""
     h, w = g.shape
-    kh = len(k)
-    r = kh // 2
-    out = np.zeros((h, w))
-    for i in range(h):
+    g = g.tolist()
+    cols = _reflected(w, len(k))
+    out = [[0.0] * w for _ in range(h)]
+    for i, rows in enumerate(_reflected(h, len(k))):
         for j in range(w):
-            for u in range(kh):
-                for v in range(kh):
-                    out[reflect(i + u - r, h), reflect(j + v - r, w)] += g[i, j] * k[u][v]
-    return out
+            for u, ku in zip(rows, k):
+                for v, kuv in zip(cols[j], ku):
+                    out[u][v] += g[i][j] * kuv
+    return np.array(out)
 
 
 def reflect_fold(g, pad):
@@ -181,6 +187,27 @@ def intensity_loss_naive(f, a, b, a1=1.0, a2=1.0):
 
 def ssim_loss_naive(f, a, b, g1=0.5, g2=0.5):
     return g1 * (1 - ssim_naive(f, a)) + g2 * (1 - ssim_naive(f, b))
+
+
+def ssim_grad_naive(f, a):
+    """Derivative of mean SSIM(f, a) w.r.t. f by the chain rule: the map's
+    partials d_mu, d_var and d_cov in the window statistics of f, each sent
+    back through the window's adjoint. mu_f = K f, var_f = K f^2 - mu_f^2 and
+    cov = K (f a) - mu_f mu_a, so mu_f's total partial also collects var_f's
+    and cov's own dependence on mu_f."""
+    g = gauss_kernel()
+    mu_f, mu_a = correlate_reflect(f, g), correlate_reflect(a, g)
+    var_f = correlate_reflect(f * f, g) - mu_f**2
+    var_a = correlate_reflect(a * a, g) - mu_a**2
+    cov = correlate_reflect(f * a, g) - mu_f * mu_a
+    a1, a2 = 2 * mu_f * mu_a + C1, 2 * cov + C2
+    b1, b2 = mu_f**2 + mu_a**2 + C1, var_f + var_a + C2
+    d_mu = 2 * mu_a * a2 / (b1 * b2) - 2 * mu_f * a1 * a2 / (b1**2 * b2)
+    d_var = -a1 * a2 / (b1 * b2**2)
+    d_cov = 2 * a1 / (b1 * b2)
+    up_mu = d_mu - 2 * mu_f * d_var - mu_a * d_cov
+    back = correlate_reflect_adjoint
+    return (back(up_mu, g) + 2 * f * back(d_var, g) + a * back(d_cov, g)) / f.size
 
 
 def total_loss_naive(f, a, b, alpha=2.0, beta=10.0, gamma=1.0):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import zlib
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -507,10 +508,10 @@ def test_refuses_a_job_larger_than_the_headroom(command, tmp_path, weights_path,
     out = tmp_path / "out"
     argv, need = {
         "fuse": ([a, b, "--weights", weights_path, "-o", str(out)], "17.0 MiB"),
-        "fuse-opt": ([a, b, "-o", str(out), "--trace", str(tmp_path / "trace.csv")], "4.4 MiB"),
+        "fuse-opt": ([a, b, "-o", str(out), "--trace", str(tmp_path / "trace.csv")], "4.1 MiB"),
         "metrics": ([a, b, a], "4.4 MiB"),
         "analyze-bands": ([a, b, a, "--out", str(out)], "2.8 MiB"),
-        "gradcheck": (["--size", "128"], "5.0 MiB"),
+        "gradcheck": (["--size", "128"], "4.5 MiB"),
     }[command]
     before = set(tmp_path.iterdir())
     monkeypatch.setattr(cli, "_headroom", lambda: 2**20)
@@ -650,3 +651,48 @@ def test_readme_commands_parse():
         parser.parse_args(argv[1:])
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) <= {argv[1] for argv in commands}
+
+
+def test_readme_memory_figures_match_the_code(images, weights_path, monkeypatch):
+    # Each memory figure README quotes is computed here from the code and
+    # looked up, formatted, in README's text (line breaks read as spaces).
+    text = " ".join(README.read_text().split())
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_headroom", lambda: None)
+        base = cli._check_memory("checking", (1, 1), 0)
+        extra = Fraction(cli._check_memory("checking", (1, 1), 2**24) - base - 2**24, 2**24)
+    # The peaks fuse and gradcheck pass to the rule, each refused before any work.
+    peaks, check = [], cli._check_memory
+    monkeypatch.setattr(cli, "_check_memory", lambda *args: peaks.append(args[2]) or check(*args))
+    monkeypatch.setattr(cli, "_headroom", lambda: 1)
+    a, b, tmp = images
+    assert cli.main(["fuse", a, b, "--weights", weights_path, "-o", str(tmp / "f.pgm")]) == 2
+    assert cli.main(["gradcheck", "--size", "32"]) == 2
+    fuse_share = Fraction(peaks[0], network.peak_bytes(32, 32, network.load_weights(weights_path)[1]))
+    check_px = peaks[1] / 32**2
+
+    cfg = network.NetConfig()
+    def net_px(h, w):
+        return network.peak_bytes(h, w, cfg) / (h * w)
+    # Unaligned inputs: bytes per pixel, and per pixel padded to 2 * window.
+    side = 2 * cfg.window
+    plain = (network.peak_bytes(side, side, cfg) - network.peak_bytes(side - 1, side, cfg)) / side
+    padded = net_px(side, side) - plain
+    opt_px = fusionopt.peak_bytes(64, 64) / 64**2
+    n = 10**4  # the band study's bytes per pixel approach their large-image limit
+    figures = [
+        f"{net_px(256, 256):,.0f} B per pixel at the defaults",
+        f"{plain:,.0f} B per pixel plus {padded:,.0f} B per pixel of its size padded to {side}",
+        f"{plain:,.0f} B per pixel plus {padded:,.0f} B per padded pixel",
+        f"{net_px(375, 500):,.0f} B per pixel at 375×500",
+        f"{net_px(67, 50):,.0f} B at 67×50",
+        f"The estimates are {fuse_share.limit_denominator(8)} of `network.peak_bytes` for `fuse`",
+        f"plus {({Fraction(1, 16): 'a sixteenth'}).get(extra, extra)} of it",
+        f"plus {base / 2**20:g} MiB for the library code",
+        f"`fusionopt.peak_bytes` for `fuse-opt` ({opt_px:.0f} B per pixel",
+        f"({opt_px / 8:.0f} images, {opt_px:.0f} B per pixel)",
+        f"{metrics.peak_bytes(512, 512) / 512**2:.0f} B per pixel at 512²",
+        f"about {metrics.study_peak_bytes(n, n) / n**2:.0f} B per pixel",
+        f"({check_px / 8:.0f} images, {check_px:.0f} B per pixel, set by one finite difference",
+    ]
+    assert [f for f in figures if f not in text] == []

@@ -13,6 +13,7 @@ from oracles import (
     gauss_kernel,
     intensity_loss_naive,
     reflect_fold,
+    ssim_grad_naive,
     ssim_naive,
     texture_loss_naive,
     total_loss_naive,
@@ -215,11 +216,35 @@ class TestSmallImages:
             f = g.uniform(0.4, 0.6, shape)
             report = L.loss_total(f, a, b)
             assert report.total == pytest.approx(total_loss_naive(f, a, b), abs=1e-10), shape
+            # Without the gradient no term computes one, and every value keeps its bits.
+            bare = L.loss_total(f, a, b, with_grad=False)
+            assert bare.grad is None
+            for name in ("total", "l_int", "l_text", "l_ssim"):
+                assert getattr(bare, name) == getattr(report, name), (shape, name)
             d = g.standard_normal(shape)
             up = L.loss_total(f + h_fd * d, a, b, with_grad=False).total
             down = L.loss_total(f - h_fd * d, a, b, with_grad=False).total
             slope = (report.grad * d).sum()
             assert abs((up - down) / (2 * h_fd) - slope) <= 1e-6 * max(1.0, abs(slope)), shape
+
+    def test_ssim_gradient_matches_closed_form_oracle(self):
+        # The oracle's chain rule in the partials d_mu, d_var and d_cov
+        # pins every term of loss_ssim's gradient, far below what finite
+        # differences resolve. On a 1x1 image every tap reads the one pixel,
+        # so var_f's two derivative terms, each over 2,000 times the
+        # gradient, cancel; the rounding left is some 5e-12 of the gradient.
+        g = np.random.default_rng(10)
+        for shape in [*SMALL_SHAPES, (128, 128)]:
+            f, a, b = g.uniform(0.0, 1.0, (3, *shape))
+            grads = ssim_grad_naive(f, a), ssim_grad_naive(f, b)
+            tol = 1e-11 if shape == (1, 1) else 1e-12
+            for w in (L.LossWeights(gamma1=0.5, gamma2=0.5), L.LossWeights(gamma1=1, gamma2=0)):
+                value, grad = L.loss_ssim(f, a, b, w)
+                want = -w.gamma1 * grads[0] - w.gamma2 * grads[1]
+                assert np.abs(grad - want).max() <= tol * np.abs(want).max(), shape
+                if min(shape) >= L.SSIM_WINDOW:
+                    ssims = L.ssim(f, a), L.ssim(f, b)
+                    assert value == w.gamma1 * (1.0 - ssims[0]) + w.gamma2 * (1.0 - ssims[1])
 
 
 class TestIntensity:
