@@ -53,9 +53,7 @@ def peak_bytes(h, w):
     gradient sum; loss_ssim the first SSIM term's gradient; and
     _ssim_value_grad the two window means, the four SSIM factors, the SSIM
     map and the reciprocal of its denominator. One more covers the filters'
-    tile padding and, on arrays under 256 KiB, where numpy reuses no
-    temporary in place, the texture gradient's temporaries, which peak there
-    (14.2 images at 128x128, 15.7 at 64x64)."""
+    input padded to whole tiles (13.9 images at 64x64, 13.0 at 256x256)."""
     return 14 * 8 * h * w
 
 

@@ -107,38 +107,32 @@ def _strips(n, row_bytes):
     return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
-def _by_strips(fn, x, halo, width):
-    """Run fn(strip, out) over strips of x, writing one output array of halo
-    fewer rows than x and `width` columns. fn is row-local: output row i reads
-    input rows i to i + halo. Strips are whole tiles of rows, so each row is
-    computed as in one pass over x and the bits agree."""
-    out = np.empty((x.shape[0] - halo, width), x.dtype)
-    for s in _strips(len(out), x[0].nbytes):
-        fn(x[s.start : s.stop + halo], out[s])
-    return out
-
-
 def _sliding(x, size, reduce):
     """Apply a binary ufunc (np.add, np.minimum, ...) across every size x size
-    window of x (size >= 2), one axis at a time; the output is the valid part."""
-    def windows(x, out):
-        for dst in (None, out.T):  # down the rows, then down the columns
-            n = len(x) - size + 1
-            dst = reduce(x[:n], x[1 : n + 1], out=dst)
-            for u in range(2, size):
-                reduce(dst, x[u : u + n], out=dst)
-            x = dst.T
+    window of x (size >= 2), one axis at a time; the output is the valid part.
+    It runs whole: q_w hands it row strips with their halo, and the kink mask
+    one byte per pixel."""
+    for _ in range(2):  # down the rows, then down the columns
+        n = len(x) - size + 1
+        out = reduce(x[:n], x[1 : n + 1])
+        for u in range(2, size):
+            reduce(out, x[u : u + n], out=out)
+        x = out.T
+    return x
 
-    return _by_strips(windows, x, size - 1, x.shape[1] - size + 1)
 
-
-def _separable(x, kr, kc, pad, reflect):
-    """Valid correlation with the kernel (kr, kc) of x padded by `pad` a side,
-    by reflection or with zeros. Each pass multiplies the band of its taps
-    with one (T + k - 1)-long slab per T x T output tile (T = _TILE), so every
-    product has one shape wherever its tile falls. The padding also rounds the
-    output and the row pass's columns up to whole tiles; the output is cropped."""
+def _separable(x, k, reflect):
+    """Valid correlation with the kernel k of x padded by reflection, half the
+    taps a side, or else with zeros, all but one tap a side. Each pass
+    multiplies the band of its taps with one (T + k - 1)-long slab per T x T
+    output tile (T = _TILE), so every product has one shape wherever its tile
+    falls. The padding also rounds the output and the row pass's columns up to
+    whole tiles; the output is cropped. Both passes run over strips of output
+    rows (_strips), each reading k - 1 rows past its own; the strips are whole
+    tiles, so every bit is as in one pass."""
+    kr, kc = k
     m = len(kr) - 1
+    pad = m // 2 if reflect else m
     (h, hx), (w, wx) = ((n + 2 * pad - m, n) for n in x.shape)
     xp = np.zeros((h + m - h % -_TILE, w - w % -_TILE + m - m % -_TILE))
     xp[pad : pad + hx, pad : pad + wx] = x
@@ -147,28 +141,27 @@ def _separable(x, kr, kc, pad, reflect):
             for edge, rows in _mirrors(v, v[pad : pad + n], pad):
                 edge[...] = rows
     br, bc = _band(kr).T, _band(kc)
-
-    def passes(s, out):
-        t = np.empty((len(s) - m, s.shape[1]))
-        np.matmul(br, _tiles(s, m + _TILE, _TILE), out=_tiles(t, _TILE, _TILE))
-        np.matmul(_tiles(t, _TILE, m + _TILE), bc, out=_tiles(out, _TILE, _TILE))
-
-    return _by_strips(passes, xp, m, w - w % -_TILE)[:h, :w]
+    out = np.empty((len(xp) - m, w - w % -_TILE))
+    for s in _strips(len(out), xp[0].nbytes):
+        strip = xp[s.start : s.stop + m]
+        t = np.empty((len(strip) - m, xp.shape[1]))
+        np.matmul(br, _tiles(strip, m + _TILE, _TILE), out=_tiles(t, _TILE, _TILE))
+        np.matmul(_tiles(t, _TILE, m + _TILE), bc, out=_tiles(out[s], _TILE, _TILE))
+        del t  # freed before the next strip's row pass is taken
+    return out[:h, :w]
 
 
 def filt(x, k):
     """Correlate with the separable kernel k (taps down the rows, taps along
     the columns) under reflect padding; output size equals input size."""
-    kr, kc = k
-    return _separable(x, kr, kc, len(kr) // 2, True)
+    return _separable(x, k, True)
 
 
 def filt_adjoint(g, k):
     """Exact adjoint of filt for a kernel k: the full convolution with k,
     which is filt's kernel with the taps reversed on g zero-padded, then the
     reflect padding folded back."""
-    kr, kc = k
-    return reflect_pad_adjoint(_separable(g, kr[::-1], kc[::-1], len(kr) - 1, False), len(kr) // 2)
+    return reflect_pad_adjoint(_separable(g, [t[::-1] for t in k], False), len(k[0]) // 2)
 
 
 def loss_intensity(f, a, b, w, with_grad=True):
@@ -197,8 +190,15 @@ def loss_texture(f, a, b, with_grad=True):
     value = np.abs(diff).sum() / n
     if not with_grad:
         return value, None
-    up = np.sign(diff) / n
-    grad = filt_adjoint(up * np.sign(sxf), SOBEL_X) + filt_adjoint(up * np.sign(syf), SOBEL_Y)
+    np.sign(diff, out=diff)  # each adjoint's input is built over its response
+    diff /= n
+    for s in (sxf, syf):
+        np.sign(s, out=s)
+        s *= diff
+    del diff
+    grad = filt_adjoint(sxf, SOBEL_X)
+    del sxf
+    grad += filt_adjoint(syf, SOBEL_Y)
     return value, grad
 
 
@@ -350,15 +350,13 @@ def gradcheck(f, a, b, w=LossWeights(), seed=0):
     rng = np.random.default_rng(seed)
     picks = idx[rng.choice(len(idx), size=GRADCHECK_SAMPLES, replace=False)]
     worst = 0.0
+    fh = f.copy()  # one perturbed copy; the caller's f is never written
     for i, j in picks:
-        fp = f.copy()
-        fp[i, j] = f[i, j] + GRADCHECK_H
-        fm = f.copy()
-        fm[i, j] = f[i, j] - GRADCHECK_H
-        num = (
-            loss_total(fp, a, b, w, with_grad=False).total
-            - loss_total(fm, a, b, w, with_grad=False).total
-        ) / (2.0 * GRADCHECK_H)
+        fh[i, j] = f[i, j] + GRADCHECK_H
+        up = loss_total(fh, a, b, w, with_grad=False).total
+        fh[i, j] = f[i, j] - GRADCHECK_H
+        num = (up - loss_total(fh, a, b, w, with_grad=False).total) / (2.0 * GRADCHECK_H)
+        fh[i, j] = f[i, j]
         ana = analytic[i, j]
         if max(abs(ana), abs(num)) <= 1e-9:
             # Both sides are below the finite-difference rounding floor
@@ -370,12 +368,12 @@ def gradcheck(f, a, b, w=LossWeights(), seed=0):
 
 
 def gradcheck_peak_bytes(h, w):
-    """Estimated peak bytes gradcheck allocates on an h x w triple: 14 images.
-    13 are met in a finite difference's value-only loss_total: its 8-image
+    """Estimated peak bytes gradcheck allocates on an h x w triple: 13 images.
+    12 are met in a finite difference's value-only loss_total: its 8-image
     working set, the SSIM term's window means, four factors, map and the
-    map's denominator, beside the analytic gradient, the two perturbed copies
+    map's denominator, beside the analytic gradient, the one perturbed copy
     and the kink-free pixel indices (two int64 per pixel at most). One more
     covers the heap's fragments: the many image-sized blocks the finite
     differences free and take again raised a fresh process's RSS about one
     image past the traced peak at 512x512 and 1024x1024."""
-    return 14 * 8 * h * w
+    return 13 * 8 * h * w

@@ -119,8 +119,9 @@ STRIP_FILTERS = {
 
 
 class TestStrips:
-    """filt, filt_adjoint and _sliding run over strips of output rows; every
-    row must come out bit for bit as in one pass over the whole image."""
+    """filt and filt_adjoint run over strips of output rows; every row must
+    come out bit for bit as in one pass over the whole image. _sliding runs
+    whole (q_w hands it strips), so its cases must not move with the budget."""
 
     @pytest.mark.parametrize("case", STRIP_SHAPES)
     @pytest.mark.parametrize("name", STRIP_FILTERS)
@@ -296,6 +297,20 @@ class TestTexture:
         )
         assert value == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_working_set_is_at_most_8_5_images(self, n):
+        # The gradient's adjoint inputs are built over the Sobel responses of
+        # f, and the residual and its sign are dropped once spent; temporaries
+        # that each made a fresh image held 11.6 images at 64x64.
+        f, a, b = np.random.default_rng(8).uniform(0, 1, (3, n, n))
+        tracemalloc.start()
+        try:
+            L.loss_texture(f, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5 * f.nbytes
+
 
 class TestSsim:
     def test_self_similarity(self, rng):
@@ -407,6 +422,15 @@ class TestGradients:
     def test_gradcheck_total(self):
         f, a, b = self.make_pair()
         assert L.gradcheck(f, a, b) < 1e-4
+
+    def test_never_writes_its_inputs(self):
+        # Read-only images give the same error as writable copies: the
+        # finite differences perturb a copy of f, never f itself.
+        f, a, b = self.make_pair(2)
+        want = L.gradcheck(f.copy(), a.copy(), b.copy())
+        for x in (f, a, b):
+            x.flags.writeable = False
+        assert L.gradcheck(f, a, b) == want
 
     def test_too_few_safe_pixels(self, rng):
         a = rng.uniform(0, 1, (16, 16))
