@@ -211,35 +211,69 @@ def gaussian_window(size=SSIM_WINDOW, sigma=SSIM_SIGMA):
 
 
 def _ssim_terms(x, y, g):
-    """Window means of x and y and the factors of the SSIM map a1*a2 / (b1*b2).
-    The variances and the covariance are dropped once their factor exists."""
+    """Window means of x and y and the SSIM factors a2 = 2 cov + C2 and
+    b2 = var_x + var_y + C2 of the map a1*a2 / (b1*b2). Each second moment is
+    folded into its filter's output a row strip at a time, so every filter
+    runs beside at most the two means and one folded map."""
     mu_x = filt(x, g)
     mu_y = filt(y, g)
-    var_x = filt(x * x, g) - mu_x**2
-    var_y = filt(y * y, g) - mu_y**2
-    b2 = var_x + var_y + SSIM_C2
-    del var_x, var_y
-    cov = filt(x * y, g) - mu_x * mu_y
-    a2 = 2.0 * cov + SSIM_C2
-    del cov
-    a1 = 2.0 * mu_x * mu_y + SSIM_C1
-    b1 = mu_x**2 + mu_y**2 + SSIM_C1
-    return mu_x, mu_y, a1, a2, b1, b2
+    strips = _strips(len(x), x[0].nbytes)
+    b2 = filt(x * x, g)
+    for s in strips:
+        b2[s] -= mu_x[s] ** 2
+    var_y = filt(y * y, g)
+    for s in strips:
+        var_y[s] -= mu_y[s] ** 2
+        b2[s] += var_y[s]
+        b2[s] += SSIM_C2
+    del var_y
+    a2 = filt(x * y, g)
+    for s in strips:
+        a2[s] -= mu_x[s] * mu_y[s]
+        a2[s] *= 2.0
+        a2[s] += SSIM_C2
+    return mu_x, mu_y, a2, b2
+
+
+def _luminance(mu_x, mu_y, a1, b1):
+    """Write the SSIM factors a1 = 2 mu_x mu_y + C1 and b1 = mu_x^2 + mu_y^2
+    + C1 into a1 and b1, with no temporary."""
+    np.square(mu_y, out=a1)
+    np.square(mu_x, out=b1)
+    b1 += a1
+    b1 += SSIM_C1
+    np.multiply(2.0, mu_x, out=a1)
+    a1 *= mu_y
+    a1 += SSIM_C1
 
 
 def ssim(x, y):
-    """Mean SSIM with an 11x11 Gaussian window (sigma 1.5, L = 1)."""
+    """Mean SSIM with an 11x11 Gaussian window (sigma 1.5, L = 1). It checks
+    shapes and finiteness but no range: the band study scores wavelet bands,
+    whose LL reaches 2 and detail bands reach -1 and 1."""
     x, y = check_images(x, y)
     if min(x.shape) < SSIM_WINDOW:
         raise ShapeError(f"image {x.shape} smaller than SSIM window {SSIM_WINDOW}")
-    _, _, a1, a2, b1, b2 = _ssim_terms(x, y, gaussian_window())
-    return float((a1 * a2 / (b1 * b2)).mean())
+    mu_x, mu_y, a2, b2 = _ssim_terms(x, y, gaussian_window())
+    # The map is written a strip at a time into its own contiguous array, whose
+    # mean sums in the order of a whole-image map's, not of filt's padded view.
+    m = np.empty(x.shape)
+    for s in _strips(len(x), x[0].nbytes):
+        a1, b1 = m[s], np.empty(m[s].shape)  # a1 is written over its strip of the map
+        _luminance(mu_x[s], mu_y[s], a1, b1)
+        a1 *= a2[s]
+        b1 *= b2[s]
+        a1 /= b1
+        del b1  # freed before the next strip's is taken
+    return float(m.mean())
 
 
 def _ssim_value_grad(f, a, with_grad=True):
     """Mean SSIM(f, a) and, if with_grad, its closed-form derivative w.r.t. f."""
     g = gaussian_window()
-    mu_f, mu_a, a1, a2, b1, b2 = _ssim_terms(f, a, g)
+    mu_f, mu_a, a2, b2 = _ssim_terms(f, a, g)
+    a1, b1 = np.empty(f.shape), np.empty(f.shape)  # two blocks: b1 is freed first
+    _luminance(mu_f, mu_a, a1, b1)
     s = a1 * a2
     p = b1 * b2
     s /= p  # the SSIM map, as ssim computes it

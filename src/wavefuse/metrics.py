@@ -43,9 +43,9 @@ class MetricReport:
     fmi: float
 
 
-def _edge_features(x):
-    """Sobel gradient strength and orientation of x, written a row strip at a
-    time over its x and y responses."""
+def _edge_features(x, orientation):
+    """Sobel gradient strength of x and, if orientation, its orientation,
+    written a row strip at a time over its x and y responses."""
     # Under reflect padding the Sobel response across a side under 3 px is 0.
     if min(x.shape) < 3:
         raise ShapeError(f"edge features need at least 3x3 images, got {x.shape}")
@@ -54,10 +54,11 @@ def _edge_features(x):
         sx, sy = g[s], t[s]
         sx[np.abs(sx) < EDGE_EPS] = 0.0
         sy[np.abs(sy) < EDGE_EPS] = 0.0
-        # Where sx is 0 the orientation is arctan(inf) = pi/2.
-        theta = np.divide(sy, sx, out=np.full_like(sx, np.inf), where=sx != 0.0)
+        if orientation:  # where sx is 0 it is arctan(inf) = pi/2
+            theta = np.divide(sy, sx, out=np.full_like(sx, np.inf), where=sx != 0.0)
         np.sqrt(sx * sx + sy * sy, out=sx)
-        np.arctan(theta, out=sy)
+        if orientation:
+            np.arctan(theta, out=sy)
     return g, t
 
 
@@ -81,18 +82,19 @@ def q_abf(a, b, f):
     """Edge-strength-weighted average of per-source edge preservation.
 
     Flat triples (no edge energy anywhere) preserve everything vacuously and
-    score 1. Holds f's and one source's features and the two running sums.
+    score 1. Holds f's and one source's features and the running numerator;
+    the weights add up as each source's strength sum.
     """
     a, b, f = check_images(a, b, f)
-    gf, tf = _edge_features(f)
-    num, den = np.zeros((2, *f.shape))
+    gf, tf = _edge_features(f, orientation=True)
+    num = np.zeros(f.shape)
+    total = 0.0
     for x in (a, b):
-        g, t = _edge_features(x)
+        g, t = _edge_features(x, orientation=True)
         for s in _strips(len(f), f[0].nbytes):
             num[s] += _preservation(g[s], t[s], gf[s], tf[s]) * g[s]
-            den[s] += g[s]
+        total += g.sum()
         del g, t  # freed before the next source's Sobel filters
-    total = den.sum()
     if total == 0.0:
         return 1.0
     return float(num.sum() / total)
@@ -167,9 +169,9 @@ def _entropy(p):
 
 
 def _bin_index(v):
-    """Each sample's bin among FMI_BINS equal bins over v's range, as
-    np.histogram2d assigns it: by arithmetic checked against the edges, or by
-    binary search where one correction step leaves a miss."""
+    """Each sample's bin, in v's shape, among FMI_BINS equal bins over v's
+    range, as np.histogram2d assigns it: by arithmetic checked against the
+    edges, or by binary search where one correction step leaves a miss."""
     lo, hi = v.min(), v.max()
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
@@ -181,10 +183,11 @@ def _bin_index(v):
     # A Python float division overflows to inf without a warning.
     scale = FMI_BINS / float(hi - lo) if hi > lo else np.inf
     if scale < np.inf:
-        i = np.minimum(((v - lo) * scale).astype(np.intp), FMI_BINS - 1)
+        i = ((v - lo) * scale).astype(np.intp)
+        np.minimum(i, FMI_BINS - 1, out=i)
         i -= v < below[i]
         i += v >= above[i]
-        if np.all((below[i] <= v) & (v < above[i])):
+        if (below[i] <= v).all() and (v < above[i]).all():
             return i
     # Ranges a few ulps wide, where the edges repeat.
     return np.searchsorted(edges, v, side="right") - 1
@@ -192,9 +195,11 @@ def _bin_index(v):
 
 def _normalized_mi(x, ix, y):
     """2*I(X;Y) / (H(X)+H(Y)) over 256-bin joint histograms; ix is
-    _bin_index(x.ravel()), which the caller computes once for several y."""
-    iy = _bin_index(y.ravel())
-    hist = np.bincount(ix * FMI_BINS + iy, minlength=FMI_BINS**2).reshape(FMI_BINS, -1)
+    _bin_index(x), which the caller computes once for several y."""
+    iy = _bin_index(y)
+    iy += ix * FMI_BINS
+    hist = np.bincount(iy.ravel(), minlength=FMI_BINS**2).reshape(FMI_BINS, -1)
+    del iy
     p = hist / hist.sum()
     px = p.sum(axis=1)
     py = p.sum(axis=0)
@@ -208,8 +213,8 @@ def fmi(a, b, f):
     """Mean normalized mutual information between gradient-magnitude features
     of the fused image and each source."""
     a, b, f = check_images(a, b, f)
-    feat_a, feat_b, feat_f = (_edge_features(x)[0] for x in (a, b, f))
-    bins_f = _bin_index(feat_f.ravel())
+    feat_a, feat_b, feat_f = (_edge_features(x, orientation=False)[0] for x in (a, b, f))
+    bins_f = _bin_index(feat_f)
     return 0.5 * (_normalized_mi(feat_f, bins_f, feat_a) + _normalized_mi(feat_f, bins_f, feat_b))
 
 
@@ -229,27 +234,30 @@ def peak_bytes(h, w):
     """Estimated peak bytes score allocates on an h x w triple, in images, p
     images rounded up to filter tiles, and s strips (whole tiles of rows of
     about losses._STRIP_BYTES, as the strip loops take them).
-    Q_abf: two running sums, and five p at its last Sobel filter (outputs
-    holding f's features and the source's x response, padded input) and a
-    strip, or four p and seven s in a preservation map; SSIM's seven images
-    stay under it. Q_w: two maps, thirteen s. FMI's second entropy: three edge
-    features, two bin indices, the joint histogram and its normalisation (256²
-    each), and three arrays of at most one entry per pixel over nonzero bins."""
+    At their last filters SSIM and Q_abf hold one image (x * y, or the running
+    numerator), three p (both window means and a folded map, or f's features
+    and the source's x response), the padded input and output and a strip;
+    Q_abf holds one image, four p and seven s in a preservation map. Q_w: two
+    maps, thirteen s. FMI binning a source: three edge features, two bin
+    indices, a gathered bin edge per pixel and a byte mask; at its second
+    entropy, three features, one bin index, the joint histogram and its
+    normalisation (256² each), and three arrays of at most one entry per pixel
+    over nonzero bins."""
     n, p = h * w, (h - h % -losses._TILE) * (w - w % -losses._TILE)
     s = w * min(h, _strips(h, 8 * w)[0].stop)
-    fmi_peak = 5 * n + 2 * FMI_BINS**2 + 3 * min(n, FMI_BINS**2)
-    return 8 * max(2 * n + 5 * p + s, 2 * n + 4 * p + 7 * s, 2 * n + 13 * s, fmi_peak)
+    fmi_peak = max(3 * p + 3 * n + n // 8, 3 * p + n + 2 * FMI_BINS**2 + 3 * min(n, FMI_BINS**2))
+    return 8 * max(n + 5 * p + s, n + 4 * p + 7 * s, 2 * n + 13 * s, fmi_peak)
 
 
 def study_peak_bytes(h, w):
     """Estimated peak bytes band_correlation_study allocates on an h x w
-    triple: the fused bands and one source's (two whole images), and seven
-    bands counted padded by the SSIM window's half width a side. In ssim's
-    covariance filter those are both window means, b2, x * y, the output, the
-    padded band and a strip of the row pass; on large images, whose strips
-    are small, they are both means, a1, a2, b2 and the two squares of b1."""
+    triple: the fused bands and one source's (two whole images), and six bands
+    and a strip of the row pass, counted padded by the SSIM window's half width
+    a side. In ssim's covariance filter those six are both window means, b2,
+    x * y, the output and the padded band."""
     pad = SSIM_WINDOW // 2
-    return 8 * (2 * h * w + 7 * (h // 2 + 2 * pad) * (w // 2 + 2 * pad))
+    hb, wb = h // 2 + 2 * pad, w // 2 + 2 * pad
+    return 8 * (2 * h * w + 6 * hb * wb + wb * min(h // 2, _strips(h // 2, 8 * wb)[0].stop))
 
 
 _BANDS = ("ll", "lh", "hl", "hh")

@@ -210,6 +210,42 @@ def ssim_grad_naive(f, a):
     return (back(up_mu, g) + 2 * f * back(d_var, g) + a * back(d_cov, g)) / f.size
 
 
+def ssim_terms_whole(x, y, filt, g):
+    """The window means and factors (mu_x, mu_y, a1, a2, b1, b2) of the SSIM
+    map a1*a2 / (b1*b2), in a frozen copy of the whole-image arithmetic the
+    strip folds replaced. Only the window filter `filt(x, g)` is the caller's,
+    so the library's maps can be held to these bits."""
+    mu_x = filt(x, g)
+    mu_y = filt(y, g)
+    var_x = filt(x * x, g) - mu_x**2
+    var_y = filt(y * y, g) - mu_y**2
+    b2 = var_x + var_y + C2
+    cov = filt(x * y, g) - mu_x * mu_y
+    a2 = 2.0 * cov + C2
+    a1 = 2.0 * mu_x * mu_y + C1
+    b1 = mu_x**2 + mu_y**2 + C1
+    return mu_x, mu_y, a1, a2, b1, b2
+
+
+def ssim_whole(x, y, filt, g):
+    """Mean SSIM from ssim_terms_whole's maps, as one whole-image map."""
+    _, _, a1, a2, b1, b2 = ssim_terms_whole(x, y, filt, g)
+    return float((a1 * a2 / (b1 * b2)).mean())
+
+
+def ssim_value_grad_whole(f, a, filt, adjoint, g):
+    """Mean SSIM(f, a) and its gradient in f, a frozen copy of the loss path's
+    arithmetic on ssim_terms_whole's maps, every product and sum in the
+    library's order; `adjoint` is the window filter's adjoint."""
+    mu_f, mu_a, a1, a2, b1, b2 = ssim_terms_whole(f, a, filt, g)
+    p = b1 * b2
+    s = a1 * a2 / p
+    p = 1.0 / p
+    up_mu = (a2 - a1) * p * mu_a * 2.0 + (1.0 / b2 - 1.0 / b1) * (mu_f * s * 2.0)
+    grad = adjoint(up_mu, g) - 2.0 * (f * adjoint(s / b2, g)) + a * adjoint(a1 * p * 2.0, g)
+    return float(s.mean()), grad / f.size
+
+
 def total_loss_naive(f, a, b, alpha=2.0, beta=10.0, gamma=1.0):
     return (
         alpha * intensity_loss_naive(f, a, b)

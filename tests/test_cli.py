@@ -509,7 +509,7 @@ def test_refuses_a_job_larger_than_the_headroom(command, tmp_path, weights_path,
     argv, need = {
         "fuse": ([a, b, "--weights", weights_path, "-o", str(out)], "17.0 MiB"),
         "fuse-opt": ([a, b, "-o", str(out), "--trace", str(tmp_path / "trace.csv")], "4.1 MiB"),
-        "metrics": ([a, b, a], "4.4 MiB"),
+        "metrics": ([a, b, a], "4.2 MiB"),
         "analyze-bands": ([a, b, a, "--out", str(out)], "2.8 MiB"),
         "gradcheck": (["--size", "128"], "4.4 MiB"),
     }[command]
@@ -524,7 +524,7 @@ def test_refuses_a_job_larger_than_the_headroom(command, tmp_path, weights_path,
 
 def test_each_metrics_command_checks_its_own_estimate(tmp_path, monkeypatch, capsys):
     # A headroom of 3 MiB, between the band study's need (2.8 MiB) and
-    # score's (4.4 MiB), lets analyze-bands run and still refuses metrics.
+    # score's (4.2 MiB), lets analyze-bands run and still refuses metrics.
     g = np.random.default_rng(4)
     a, b = (write_image(tmp_path / f"{m}.pgm", smooth_image(g, 128)) for m in "ab")
     monkeypatch.setattr(cli, "_headroom", lambda: 3 * 2**20)
@@ -533,7 +533,7 @@ def test_each_metrics_command_checks_its_own_estimate(tmp_path, monkeypatch, cap
     assert out.read_text().startswith("band,src,ssim_low,ssim_high\n")
     assert cli.main(["metrics", a, b, a]) == 2
     captured = capsys.readouterr()
-    assert "scoring 128x128 needs about 4.4 MiB, more than the 3.0 MiB this" in captured.err
+    assert "scoring 128x128 needs about 4.2 MiB, more than the 3.0 MiB this" in captured.err
     assert captured.out == ""
 
 

@@ -15,6 +15,9 @@ from oracles import (
     reflect_fold,
     ssim_grad_naive,
     ssim_naive,
+    ssim_terms_whole,
+    ssim_value_grad_whole,
+    ssim_whole,
     texture_loss_naive,
     total_loss_naive,
 )
@@ -112,16 +115,26 @@ STRIP_FILTERS = {
     ),
     "sobel_x_adjoint": (lambda x: L.filt_adjoint(x, L.SOBEL_X), -2, 4),
     "sobel_y_adjoint": (lambda x: L.filt_adjoint(x, L.SOBEL_Y), -2, 4),
-    "box_sum": (lambda x: L._sliding(x, 8, np.add), 7, 0),
-    "max": (lambda x: L._sliding(x, 8, np.maximum), 7, 0),
-    "min": (lambda x: L._sliding(x, 8, np.minimum), 7, 0),
+    # _sliding over q_w's 8 x 8 windows, on q_w's row strips of window rows,
+    # each with its 7-row halo; one strip is the whole-image run.
+    "box_sum": (lambda x: sliding_on_strips(x, np.add), 7, -7),
+    "max": (lambda x: sliding_on_strips(x, np.maximum), 7, -7),
+    "min": (lambda x: sliding_on_strips(x, np.minimum), 7, -7),
 }
 
 
+def sliding_on_strips(x, reduce):
+    """_sliding run as q_w runs it: on each _strips strip of window rows with
+    the 7 image rows past it, the strips' outputs stacked."""
+    windows = x[7:, 7:]  # one entry per 8 x 8 window
+    return np.concatenate([L._sliding(x[s.start : s.stop + 7], 8, reduce)
+                           for s in L._strips(len(windows), windows[0].nbytes)])
+
+
 class TestStrips:
-    """filt and filt_adjoint run over strips of output rows; every row must
-    come out bit for bit as in one pass over the whole image. _sliding runs
-    whole (q_w hands it strips), so its cases must not move with the budget."""
+    """filt and filt_adjoint run over strips of output rows, and _sliding on
+    the row strips q_w hands it; every row must come out bit for bit as in
+    one pass over the whole image."""
 
     @pytest.mark.parametrize("case", STRIP_SHAPES)
     @pytest.mark.parametrize("name", STRIP_FILTERS)
@@ -342,6 +355,51 @@ class TestSsim:
         value, _ = L.loss_ssim(a, a.copy(), b, L.LossWeights())
         want = 0.5 * (1.0 - ssim_naive(a, b))
         assert value == pytest.approx(want, abs=1e-10)
+
+
+# Strip budgets of the SSIM folds: the default, one tile of rows, one strip.
+SSIM_BUDGETS = {"default": L._STRIP_BYTES, "one_tile": 1, "one_strip": 2**62}
+
+
+class TestSsimStrips:
+    """SSIM folds its second moments into the filter outputs and writes its
+    map a row strip at a time; every map and value must keep the bits of the
+    whole-image arithmetic in tests/oracles.py, whatever the strips."""
+
+    @pytest.mark.parametrize("budget", SSIM_BUDGETS)
+    def test_maps_and_value_keep_the_whole_image_bits(self, monkeypatch, budget):
+        g = np.random.default_rng(12)
+        window = L.gaussian_window()
+        for shape in [*SMALL_SHAPES, (128, 128), (513, 600), (37, 2100)]:
+            x, y = g.uniform(0.0, 1.0, (2, *shape))
+            want = ssim_terms_whole(x, y, L.filt, window)
+            value = ssim_whole(x, y, L.filt, window) if min(shape) >= L.SSIM_WINDOW else None
+            with monkeypatch.context() as m:
+                m.setattr(L, "_STRIP_BYTES", SSIM_BUDGETS[budget])
+                mu_x, mu_y, a2, b2 = L._ssim_terms(x, y, window)
+                a1, b1 = np.empty((2, *shape))
+                L._luminance(mu_x, mu_y, a1, b1)
+                got = L.ssim(x, y) if value is not None else None
+            for name, w, have in zip(("mu_x", "mu_y", "a1", "a2", "b1", "b2"), want,
+                                     (mu_x, mu_y, a1, a2, b1, b2)):
+                assert np.array_equal(have, w), (shape, name)
+            assert got == value, shape
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_loss_gradient_keeps_the_whole_image_bits(self, monkeypatch, n):
+        # loss_total with its SSIM terms computed by the frozen whole-image
+        # arithmetic gives the same total and gradient bits as the library's.
+        f, a, b = np.random.default_rng(n).uniform(0.0, 1.0, (3, n, n))
+        got = L.loss_total(f, a, b)
+
+        def whole(f, a, with_grad=True):
+            value, grad = ssim_value_grad_whole(f, a, L.filt, L.filt_adjoint, L.gaussian_window())
+            return value, grad if with_grad else None
+
+        monkeypatch.setattr(L, "_ssim_value_grad", whole)
+        want = L.loss_total(f, a, b)
+        assert got.total == want.total
+        assert np.array_equal(got.grad, want.grad)
 
 
 class TestTotal:
