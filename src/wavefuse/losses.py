@@ -213,25 +213,21 @@ def gaussian_window(size=SSIM_WINDOW, sigma=SSIM_SIGMA):
 def _ssim_terms(x, y, g):
     """Window means of x and y and the SSIM factors a2 = 2 cov + C2 and
     b2 = var_x + var_y + C2 of the map a1*a2 / (b1*b2). Each second moment is
-    folded into its filter's output a row strip at a time, so every filter
-    runs beside at most the two means and one folded map."""
+    folded into its filter's output in place, so every filter runs beside at
+    most the two means and one folded map."""
     mu_x = filt(x, g)
     mu_y = filt(y, g)
-    strips = _strips(len(x), x[0].nbytes)
     b2 = filt(x * x, g)
-    for s in strips:
-        b2[s] -= mu_x[s] ** 2
+    b2 -= mu_x**2
     var_y = filt(y * y, g)
-    for s in strips:
-        var_y[s] -= mu_y[s] ** 2
-        b2[s] += var_y[s]
-        b2[s] += SSIM_C2
+    var_y -= mu_y**2
+    b2 += var_y
+    b2 += SSIM_C2
     del var_y
     a2 = filt(x * y, g)
-    for s in strips:
-        a2[s] -= mu_x[s] * mu_y[s]
-        a2[s] *= 2.0
-        a2[s] += SSIM_C2
+    a2 -= mu_x * mu_y
+    a2 *= 2.0
+    a2 += SSIM_C2
     return mu_x, mu_y, a2, b2
 
 
@@ -254,18 +250,7 @@ def ssim(x, y):
     x, y = check_images(x, y)
     if min(x.shape) < SSIM_WINDOW:
         raise ShapeError(f"image {x.shape} smaller than SSIM window {SSIM_WINDOW}")
-    mu_x, mu_y, a2, b2 = _ssim_terms(x, y, gaussian_window())
-    # The map is written a strip at a time into its own contiguous array, whose
-    # mean sums in the order of a whole-image map's, not of filt's padded view.
-    m = np.empty(x.shape)
-    for s in _strips(len(x), x[0].nbytes):
-        a1, b1 = m[s], np.empty(m[s].shape)  # a1 is written over its strip of the map
-        _luminance(mu_x[s], mu_y[s], a1, b1)
-        a1 *= a2[s]
-        b1 *= b2[s]
-        a1 /= b1
-        del b1  # freed before the next strip's is taken
-    return float(m.mean())
+    return _ssim_value_grad(x, y, with_grad=False)[0]
 
 
 def _ssim_value_grad(f, a, with_grad=True):
@@ -274,9 +259,9 @@ def _ssim_value_grad(f, a, with_grad=True):
     mu_f, mu_a, a2, b2 = _ssim_terms(f, a, g)
     a1, b1 = np.empty(f.shape), np.empty(f.shape)  # two blocks: b1 is freed first
     _luminance(mu_f, mu_a, a1, b1)
-    s = a1 * a2
-    p = b1 * b2
-    s /= p  # the SSIM map, as ssim computes it
+    s = np.multiply(a1, a2, out=None if with_grad else a1)  # value only: over a1 and b1
+    p = np.multiply(b1, b2, out=None if with_grad else b1)
+    s /= p
     value = float(s.mean())
     if not with_grad:
         return value, None
@@ -402,12 +387,12 @@ def gradcheck(f, a, b, w=LossWeights(), seed=0):
 
 
 def gradcheck_peak_bytes(h, w):
-    """Estimated peak bytes gradcheck allocates on an h x w triple: 13 images.
-    12 are met in a finite difference's value-only loss_total: its 8-image
-    working set, the SSIM term's window means, four factors, map and the
-    map's denominator, beside the analytic gradient, the one perturbed copy
-    and the kink-free pixel indices (two int64 per pixel at most). One more
-    covers the heap's fragments: the many image-sized blocks the finite
-    differences free and take again raised a fresh process's RSS about one
-    image past the traced peak at 512x512 and 1024x1024."""
-    return 13 * 8 * h * w
+    """Estimated peak bytes gradcheck allocates on an h x w triple: 11 images.
+    10 are met in a finite difference's value-only loss_total: its 6-image
+    working set (SSIM's window means and four factors, the map and its
+    denominator written over two), beside the analytic gradient, the one
+    perturbed copy and the kink-free pixel indices (two int64 per pixel at
+    most). One more covers the heap's fragments: the many image-sized blocks
+    the finite differences free and take again raised a fresh process's RSS
+    about one image past the traced peak at 512x512 and 1024x1024."""
+    return 11 * 8 * h * w

@@ -201,6 +201,7 @@ def _normalized_mi(x, ix, y):
     hist = np.bincount(iy.ravel(), minlength=FMI_BINS**2).reshape(FMI_BINS, -1)
     del iy
     p = hist / hist.sum()
+    del hist
     px = p.sum(axis=1)
     py = p.sum(axis=0)
     hx, hy, hxy = _entropy(px), _entropy(py), _entropy(p)
@@ -239,13 +240,14 @@ def peak_bytes(h, w):
     and the source's x response), the padded input and output and a strip;
     Q_abf holds one image, four p and seven s in a preservation map. Q_w: two
     maps, thirteen s. FMI binning a source: three edge features, two bin
-    indices, a gathered bin edge per pixel and a byte mask; at its second
-    entropy, three features, one bin index, the joint histogram and its
-    normalisation (256² each), and three arrays of at most one entry per pixel
-    over nonzero bins."""
+    indices, a gathered bin edge per pixel and a byte mask; then three
+    features, one bin index and, at its normalisation, the joint histogram and
+    its normalisation (256² each), or, at an entropy, the normalisation and
+    three arrays of at most one entry per pixel over nonzero bins."""
     n, p = h * w, (h - h % -losses._TILE) * (w - w % -losses._TILE)
     s = w * min(h, _strips(h, 8 * w)[0].stop)
-    fmi_peak = max(3 * p + 3 * n + n // 8, 3 * p + n + 2 * FMI_BINS**2 + 3 * min(n, FMI_BINS**2))
+    joint = FMI_BINS**2 + max(FMI_BINS**2, 3 * min(n, FMI_BINS**2))
+    fmi_peak = max(3 * p + 3 * n + n // 8, 3 * p + n + joint)
     return 8 * max(n + 5 * p + s, n + 4 * p + 7 * s, 2 * n + 13 * s, fmi_peak)
 
 

@@ -511,7 +511,7 @@ def test_refuses_a_job_larger_than_the_headroom(command, tmp_path, weights_path,
         "fuse-opt": ([a, b, "-o", str(out), "--trace", str(tmp_path / "trace.csv")], "4.1 MiB"),
         "metrics": ([a, b, a], "4.2 MiB"),
         "analyze-bands": ([a, b, a, "--out", str(out)], "2.8 MiB"),
-        "gradcheck": (["--size", "128"], "4.4 MiB"),
+        "gradcheck": (["--size", "128"], "4.1 MiB"),
     }[command]
     before = set(tmp_path.iterdir())
     monkeypatch.setattr(cli, "_headroom", lambda: 2**20)

@@ -1,8 +1,8 @@
 """Static checks on the package source: no unused module-level import, no
 private module-level function that nothing calls, no public one that nothing
 outside its module names, no function parameter that the function never
-reads, no image check below the exported API, and no line over 100
-characters; and that the test oracles import only the standard library and
+reads, no module-level constant that nothing reads, no image check below the
+exported API, and no line over 100 characters; and that the test oracles import only the standard library and
 numpy. Standard library only."""
 
 import ast
@@ -102,6 +102,41 @@ def test_every_parameter_is_read():
             }
             unread += [f"{path.name}:{node.name}({p.arg})" for p in params if p.arg not in read]
     assert not unread, f"parameters never read: {unread}"
+
+
+def _scripts(tree):
+    """The string constants in the module that parse as Python: the scripts
+    that tests run in a child process."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                yield ast.parse(node.value)
+            except (SyntaxError, ValueError):
+                pass
+
+
+def test_every_module_constant_is_read():
+    # An UPPER_CASE module-level name in the package must be read, as a bare
+    # name or an attribute, somewhere in the package or its tests, child
+    # scripts included.
+    trees = [_parse(p) for d in (SRC, ROOT / "tests") for p in d.glob("*.py")]
+    trees += [script for tree in trees for script in _scripts(tree)]
+    read = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for tree in trees
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.name}:{target.id}"
+        for path in SRC.glob("*.py")
+        for node in _parse(path).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.lstrip("_").isupper()
+        and target.id not in read
+    ]
+    assert not unread, f"module-level constants never read: {unread}"
 
 
 def test_only_exported_functions_check_images():

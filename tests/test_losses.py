@@ -357,14 +357,15 @@ class TestSsim:
         assert value == pytest.approx(want, abs=1e-10)
 
 
-# Strip budgets of the SSIM folds: the default, one tile of rows, one strip.
+# Strip budgets of filt under SSIM: the default, one tile of rows, one strip.
 SSIM_BUDGETS = {"default": L._STRIP_BYTES, "one_tile": 1, "one_strip": 2**62}
 
 
 class TestSsimStrips:
-    """SSIM folds its second moments into the filter outputs and writes its
-    map a row strip at a time; every map and value must keep the bits of the
-    whole-image arithmetic in tests/oracles.py, whatever the strips."""
+    """SSIM's filters run over row strips, and it folds its second moments
+    into their outputs and writes its map in place; every map and value must
+    keep the bits of the whole-image arithmetic in tests/oracles.py, whatever
+    the strips of filt."""
 
     @pytest.mark.parametrize("budget", SSIM_BUDGETS)
     def test_maps_and_value_keep_the_whole_image_bits(self, monkeypatch, budget):
@@ -432,6 +433,20 @@ class TestTotal:
         r1 = L.loss_total(f, a, b, with_grad=False)
         r2 = L.loss_total(f, b, a, with_grad=False)
         assert abs(r1.total - r2.total) < 1e-12
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_value_only_working_set_is_at_most_6_8_images(self, n):
+        # Without the gradient the SSIM map is written over a1 and its
+        # denominator over b1, so no term outgrows SSIM's filters, about 6
+        # images at 512².
+        f, a, b = np.random.default_rng(9).uniform(0, 1, (3, n, n))
+        tracemalloc.start()
+        try:
+            L.loss_total(f, a, b, with_grad=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.8 * f.nbytes
 
     def test_checks_its_images_once(self, rng, monkeypatch):
         # loss_total is the loss path's one image check; the terms trust it.

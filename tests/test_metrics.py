@@ -180,6 +180,19 @@ class TestFmi:
         a, b, f = np.random.default_rng(13).uniform(0, 1, (3, 3, 3))
         assert 0.0 <= M.fmi(a, b, f) <= 1.0
 
+    def test_peak_memory_128(self):
+        # The joint histogram is dropped once normalised, so the two 256²
+        # tables meet only at the normalisation, 12.5 images at 128², and
+        # the entropies run beside the normalised one alone.
+        a, b, f = triple(15, size=128)
+        tracemalloc.start()
+        try:
+            M.fmi(a, b, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * f.nbytes
+
 
 SAMPLE_KINDS = ("uniform", "quantised", "edges", "constant", "ulps")
 
