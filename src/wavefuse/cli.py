@@ -180,8 +180,8 @@ def cmd_fuse(args):
     weights, cfg = network.load_weights(args.weights)
     # malloc keeps the forward's freed activations in the heap (the package
     # raises its thresholds at import), so its RSS grows past peak_bytes: by
-    # 1.22 to 1.35 times at 64² to 512² in a fresh process on one or two BLAS
-    # threads.
+    # 1.23 to 1.38 times at 64² to 512² in a fresh process, OpenBLAS started
+    # on one or two threads.
     _check_memory("fusing", ya.shape, network.peak_bytes(*ya.shape, cfg) * 3 // 2)
     _emit_color(network.forward(ya, yb, weights, cfg), chroma, args.output)
     return EXIT_OK

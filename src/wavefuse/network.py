@@ -193,17 +193,20 @@ def peak_bytes(h, w, cfg):
 
 
 def forward(i1, i2, weights, cfg):
-    """Fuse two grayscale images into one; deterministic for fixed weights."""
+    """Fuse two grayscale images into one; deterministic for fixed weights.
+    BLAS runs on one thread inside (tensor._one_blas_thread), so with numpy's
+    bundled OpenBLAS the bits do not depend on the BLAS thread count."""
     i1, i2 = check_images(i1, i2)
     validate_weights(weights, cfg)
-    f1, f2 = (feature_extract(img[None, None], weights, m) for m, img in ((1, i1), (2, i2)))
-    for i in range(cfg.blocks):
-        f1, f2 = enhance_block(f1, f2, i, weights, cfg)
-    x = np.concatenate([f1, f2], axis=1)
-    for layer in (1, 2, 3):
-        x = T.conv2d(x, weights[f"fuse.{layer}.weight"], weights[f"fuse.{layer}.bias"])
-        if layer < 3:
-            x = T.leaky_relu(x, SLOPE)
+    with T._one_blas_thread():
+        f1, f2 = (feature_extract(img[None, None], weights, m) for m, img in ((1, i1), (2, i2)))
+        for i in range(cfg.blocks):
+            f1, f2 = enhance_block(f1, f2, i, weights, cfg)
+        x = np.concatenate([f1, f2], axis=1)
+        for layer in (1, 2, 3):
+            x = T.conv2d(x, weights[f"fuse.{layer}.weight"], weights[f"fuse.{layer}.bias"])
+            if layer < 3:
+                x = T.leaky_relu(x, SLOPE)
     return np.clip(x[0, 0], 0.0, 1.0)
 
 

@@ -1,26 +1,86 @@
 """Dense (B, C, H, W) float64 kernels: convolution, softmax, layer norm over
 the channel axis, and the elementwise activations.
 
-All functions are deterministic, and none keeps a thread of its own: softmax
-rows over 2**20 elements or more (and attention's large window products) run
-in two lanes, the second on a thread started and joined within the call, and
-every element is computed as on one lane, so the lanes move no bit; BLAS's
-own threads do (a default forward on a 75 x 79 pair differs between two CPUs
-and one unless OPENBLAS_NUM_THREADS=1). Every kernel but softmax_rows leaves
-its inputs unwritten; softmax_rows normalises a contiguous float64 argument
-in place (its one caller passes logits it owns). The canonical carrier is a
-contiguous numpy float64 array in (batch, channel, height, width) order, and
-conv2d computes in it too.
+All functions are deterministic, and none keeps a thread of its own: softmax's
+row blocks, attention's window products and conv2d's row strips run in two
+lanes once their work reaches 2**20 elements, the second on a thread started
+and joined within the call, and every element is computed as on one lane, so
+the lanes move no bit. BLAS's own threads can (a product's bits may depend on
+how its columns split over them), so network.forward runs its BLAS calls on
+one thread where it can set the count (numpy's bundled OpenBLAS;
+_one_blas_thread), and then its bits do not depend on the CPU count or on
+OPENBLAS_NUM_THREADS. Every kernel but softmax_rows leaves its inputs
+unwritten; softmax_rows normalises a contiguous float64 argument in place (its
+one caller passes logits it owns). The canonical carrier is a contiguous numpy
+float64 array in (batch, channel, height, width) order, and conv2d computes in
+it too.
 """
 
+import contextlib
+import glob
 import math
 import os
 import threading
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 _BLOCK = 1 << 18  # elements per softmax block: 2 MiB, about one core's L2 cache
 _SPLIT = 1 << 20  # elements from which a kernel runs in two lanes
+_STRIP = 1 << 17  # elements of conv2d's column buffer per strip: 1 MiB
+
+
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    wheels bundle, found by symbol, or None: without ctypes, without such a
+    library (another BLAS, or a numpy built without one), or when a library
+    does not load, nothing is found."""
+    try:
+        import ctypes
+
+        libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+        for path in glob.glob(os.path.join(libs, "*openblas*")):
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                         "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+                get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+                if get and put:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    except (ImportError, OSError):
+        pass
+    return None
+
+
+_BLAS_THREADS = _openblas_threads()
+_BLAS_LOCK = threading.Lock()
+_blas_scope = {"depth": 0, "count": 1}  # callers inside _one_blas_thread, and the count before
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with BLAS on one thread, and give back the thread count
+    it had before, also when the block raises. The count is the process's, so
+    scopes may nest or overlap on several threads: the first to enter saves
+    it and the last to leave restores it. Where _BLAS_THREADS is None, the
+    block runs on whatever BLAS threads there are."""
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get, put = _BLAS_THREADS
+    with _BLAS_LOCK:
+        if not _blas_scope["depth"]:
+            _blas_scope["count"] = get()
+            put(1)
+        _blas_scope["depth"] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_scope["depth"] -= 1
+            if not _blas_scope["depth"]:
+                put(_blas_scope["count"])
 
 
 def _lanes(fn, n, size):
@@ -30,8 +90,10 @@ def _lanes(fn, n, size):
     process may run on two or more CPUs, fn(n // 2, n) runs on a thread
     started and joined here while this thread runs fn(0, n // 2), and the
     worker's exception is raised here; otherwise fn(0, n) is one plain call.
-    fn must not call a public function: a tracer wrapped around those keeps
-    one span stack, which only the caller's thread may touch.
+    Three kernels use it: softmax_rows over its blocks, attention over its
+    windows and conv2d over its row strips. fn must not call a public
+    function: a tracer wrapped around those keeps one span stack, which only
+    the caller's thread may touch.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -66,16 +128,39 @@ def conv2d(x, kernel, bias):
     pad = (k - 1) // 2
     wp = w + 2 * pad
     # Each zero-padded channel plane, with one extra zero row, flattened over
-    # (row, column), so that tap (u, v) reads the contiguous slice at
-    # u * wp + v: one (Cout, Cin) @ (B, Cin, h * wp) product per tap, no im2col
-    # buffer. The wp - w wrap-around columns of each output row are cropped.
+    # (row, column), so that tap (u, v) of a strip starting at row `top` reads
+    # the contiguous slice at (top + u) * wp + v. Per image, each strip of
+    # rows copies its Cin * k * k slices (a strided view of the plane) into one
+    # column buffer of about _STRIP elements, in the kernel's own (Cin, k, k)
+    # order, and one (Cout, Cin * k * k) product writes the strip's output.
+    # The strips do not depend on B, so an image's bits do not depend on its
+    # batch. The wp - w wrap-around columns of each output row are cropped.
     xp = np.zeros((b, cin, h + 2 * pad + 1, wp))
     xp[:, :, pad : pad + h, pad : pad + w] = x
     flat = xp.reshape(b, cin, -1)
-    out = np.zeros((b, cout, h * wp))
-    for u in range(k):
-        for v in range(k):
-            out += kernel[:, :, u, v] @ flat[:, :, u * wp + v : u * wp + v + h * wp]
+    taps = cin * k * k
+    kmat = kernel.reshape(cout, taps)
+    # A strip holds a multiple of 8 columns where it can. OpenBLAS's kernels
+    # (SkylakeX, Haswell, Zen, Nehalem) give a product other bits on two
+    # threads than on one when its column count is not a multiple of 8, so
+    # where the thread count cannot be set (_one_blas_thread), the strips keep
+    # their bits whenever one product over all h * wp columns would.
+    group = 8 // math.gcd(wp, 8)
+    rows = min(h, max(group, _STRIP // (taps * wp) // group * group))
+    per = -(-h // rows)  # strips per image
+    out = np.empty((b, cout, h * wp))
+    step = (flat.strides[1], 8 * wp, 8, 8)  # a strip's (Cin, k, k, column) taps in flat
+
+    def strips(lo, hi):
+        col = np.empty((cin, k, k, rows * wp))
+        for i in range(lo, hi):
+            j, top = divmod(i, per)
+            top *= rows
+            n = min(rows, h - top) * wp
+            col[..., :n] = as_strided(flat[j, :, top * wp :], (cin, k, k, n), step, writeable=False)
+            np.matmul(kmat, col[..., :n].reshape(taps, n), out=out[j, :, top * wp : top * wp + n])
+
+    _lanes(strips, b * per, b * taps * h * wp)
     return out.reshape(b, cout, h, wp)[:, :, :, :w] + bias[:, None, None]
 
 

@@ -17,6 +17,7 @@ from conftest import write_wfw, zero_weights
 from oracles import enhance_block_naive, forward_naive, wfw_bytes
 from wavefuse.errors import FormatError, ShapeError
 from wavefuse import network as net
+from wavefuse import tensor as T
 
 
 SMALL = net.NetConfig(channels=8, blocks=2, window=4, heads=2, reduction=2)
@@ -246,13 +247,17 @@ NEEDS_TWO_CPUS = pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs CPU affinity and at least two usable CPUs",
 )
+NEEDS_BLAS_SETTER = pytest.mark.skipif(
+    T._BLAS_THREADS is None, reason="needs numpy's bundled OpenBLAS"
+)
 
 
-def _assert_lanes_alone_keep_the_bits(tmp_path, h, wd):
-    # BLAS's own threads can move the bits with the core count, so one child
-    # on every CPU and one pinned to one CPU both hold BLAS to one thread and
-    # differ only in the lanes of softmax_rows and mhsa: the first must start
-    # lane threads, the second none, and the outputs must agree bit for bit.
+def _assert_lanes_alone_keep_the_bits(tmp_path, *sizes):
+    # forward runs BLAS on one thread whatever the setting, so three children
+    # differ only in the lanes of softmax_rows, mhsa and conv2d: with every
+    # CPU and no BLAS setting, with OPENBLAS_NUM_THREADS=1, and pinned to one
+    # CPU. The first two must start lane threads, the third none, and every
+    # output must agree bit for bit.
     child = (
         "import os, sys, threading\n"
         "if sys.argv[2] == 'one':\n"
@@ -262,23 +267,30 @@ def _assert_lanes_alone_keep_the_bits(tmp_path, h, wd):
         "from wavefuse import network as net\n"
         "starts, start = [], threading.Thread.start\n"
         "threading.Thread.start = lambda t: starts.append(t) or start(t)\n"
-        "h, wd = int(sys.argv[4]), int(sys.argv[5])\n"
-        "a, b = np.random.default_rng(0).uniform(0, 1, (2, h, wd))\n"
-        "cfg = net.NetConfig()\n"
-        "np.save(sys.argv[3], net.forward(a, b, net.init_weights(cfg, 0), cfg))\n"
+        "cfg, outs = net.NetConfig(), []\n"
+        "for h, wd in zip(map(int, sys.argv[4::2]), map(int, sys.argv[5::2])):\n"
+        "    a, b = np.random.default_rng(0).uniform(0, 1, (2, h, wd))\n"
+        "    outs.append(net.forward(a, b, net.init_weights(cfg, 0), cfg))\n"
+        "np.savez(sys.argv[3], *outs)\n"
         "print(len(starts))\n"
     )
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    unset = {k: v for k, v in os.environ.items() if k not in pins}
+    runs = {"all": unset, "blas1": {**unset, "OPENBLAS_NUM_THREADS": "1"}, "one": unset}
     src = str(Path(net.__file__).resolve().parent.parent)
-    lanes = {}
-    for cpus in ("all", "one"):
+    lanes, outputs = {}, {}
+    for name, env in runs.items():
+        out = tmp_path / f"{name}.npz"
         done = subprocess.run(
-            [sys.executable, "-c", child, src, cpus, tmp_path / f"{cpus}.npy", f"{h}", f"{wd}"],
+            [sys.executable, "-c", child, src, name, out, *(str(n) for hw in sizes for n in hw)],
             env=env, check=True, timeout=120, capture_output=True, text=True,
         )
-        lanes[cpus] = int(done.stdout)
-    assert lanes["one"] == 0 < lanes["all"]
-    assert np.array_equal(np.load(tmp_path / "all.npy"), np.load(tmp_path / "one.npy"))
+        lanes[name] = int(done.stdout)
+        with np.load(out) as arrays:
+            outputs[name] = [arrays[f"arr_{i}"] for i in range(len(sizes))]
+    assert lanes["one"] == 0 < min(lanes["all"], lanes["blas1"])
+    for name in ("blas1", "one"):
+        assert all(np.array_equal(x, y) for x, y in zip(outputs["all"], outputs[name])), name
 
 
 class TestForward:
@@ -395,16 +407,47 @@ class TestForward:
             assert peak <= 1.05 * net.peak_bytes(h, wd, cfg)
 
     @NEEDS_TWO_CPUS
+    @NEEDS_BLAS_SETTER
     def test_same_output_on_one_cpu(self, tmp_path):
         # 128^2's 64 low-band windows hold 2^20 logits, at the lanes' gate.
-        _assert_lanes_alone_keep_the_bits(tmp_path, 128, 128)
+        _assert_lanes_alone_keep_the_bits(tmp_path, (128, 128))
 
     @NEEDS_TWO_CPUS
+    @NEEDS_BLAS_SETTER
     def test_lanes_alone_keep_the_bits(self, tmp_path):
         # 75 x 79 pads to 80^2, whose 75 high-band windows hold 1,228,800
-        # logits, past the lanes' gate. With BLAS on every CPU, a default
-        # forward on this pair differs between two CPUs and one.
-        _assert_lanes_alone_keep_the_bits(tmp_path, 75, 79)
+        # logits, past the lanes' gate. Without forward's one BLAS thread, a
+        # forward on either pair differs between BLAS on two threads and one.
+        _assert_lanes_alone_keep_the_bits(tmp_path, (75, 79), (190, 256))
+
+    @NEEDS_BLAS_SETTER
+    def test_blas_thread_count_is_given_back(self, monkeypatch):
+        get, put = T._BLAS_THREADS
+        before = get()
+        w, a = net.init_weights(SMALL, 0), np.full((8, 8), 0.5)
+        seen, leaky = [], T.leaky_relu
+
+        def spy(x, slope):
+            seen.append(get())
+            return leaky(x, slope)
+
+        def fail(x, slope):
+            raise RuntimeError("inside the scope")
+
+        try:
+            put(before + 1)
+            count = get()
+            assert count != 1
+            monkeypatch.setattr(T, "leaky_relu", spy)
+            net.forward(a, a, w, SMALL)
+            assert seen and set(seen) == {1}
+            assert get() == count
+            monkeypatch.setattr(T, "leaky_relu", fail)
+            with pytest.raises(RuntimeError, match="inside the scope"):
+                net.forward(a, a, w, SMALL)
+            assert get() == count
+        finally:
+            put(before)
 
     def test_size_mismatch(self, rng):
         w = net.init_weights(SMALL, 0)

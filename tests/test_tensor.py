@@ -1,6 +1,8 @@
 import multiprocessing
 import os
 import threading
+import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -91,6 +93,43 @@ class TestConv2d:
         assert np.array_equal(out, T.conv2d(np.ascontiguousarray(x), kern, bias))
         for i in range(3):
             assert np.array_equal(out[i : i + 1], T.conv2d(x[i : i + 1], kern, bias))
+
+    @pytest.mark.parametrize("b, cin, cout, k, h, w, rows", [
+        (1, 16, 16, 3, 13, 10, 4),  # four strips, the last of one row
+        (3, 2, 1, 7, 11, 9, 8),  # IFI's spatial gate: B = 3, strips of 8 and 3 rows
+        (3, 1, 16, 3, 6, 8, 8),  # one strip per image
+        (1, 16, 1, 3, 5, 6, 8),  # one strip, so one lane
+    ], ids=["ragged", "gate", "strip_per_image", "single_strip"])
+    def test_two_lanes_match_one(self, rng, monkeypatch, b, cin, cout, k, h, w, rows):
+        # _STRIP set to `rows` rows of column buffer; every strip is a unit
+        # of the lanes, which must leave every bit as one lane computes it.
+        x = rng.standard_normal((b, cin, h, w))
+        kern = rng.standard_normal((cout, cin, k, k))
+        bias = rng.standard_normal(cout)
+        monkeypatch.setattr(T, "_STRIP", rows * cin * k * k * (w + k - 1))
+        usable_cpus(monkeypatch, 1)
+        want = T.conv2d(x, kern, bias)
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(T, "_SPLIT", 1)
+        monkeypatch.setattr(T, "threading", SimpleNamespace(Thread=CountedThread))
+        CountedThread.started = 0
+        assert np.array_equal(T.conv2d(x, kern, bias), want)
+        assert CountedThread.started == int(b * -(-h // rows) > 1)
+        err = np.abs(want - conv2d_naive(x, kern, bias, (k - 1) // 2)).max()
+        assert err <= 1e-12 * np.abs(want).max()
+
+    def test_small_image_allocates_no_whole_strip(self, rng):
+        # A strip holds at most h rows: the first layer's column buffer on a
+        # 16 x 16 image is 9 x 16 x 18 elements, not the 1 MiB of a full strip.
+        x = rng.standard_normal((1, 1, 16, 16))
+        kern = rng.standard_normal((16, 1, 3, 3))
+        tracemalloc.start()
+        try:
+            T.conv2d(x, kern, np.zeros(16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * T._STRIP
 
     def test_linearity(self, rng):
         x = rng.standard_normal((1, 2, 8, 8))
@@ -259,6 +298,38 @@ class TestLanes:
             child.join()
             pytest.fail("forked child hung in softmax_rows")
         assert child.exitcode == 0
+
+
+@pytest.mark.skipif(T._BLAS_THREADS is None, reason="needs numpy's bundled OpenBLAS")
+def test_overlapping_blas_scopes_restore_the_count_once():
+    # Eight threads, more than the cores, enter and leave the scope, nested
+    # too, and yield the interpreter inside it: inside, every one reads one
+    # BLAS thread; after the last leaves, the count is the caller's again.
+    get, put = T._BLAS_THREADS
+    before, inside, start = get(), [], threading.Barrier(8)
+
+    def worker():
+        start.wait(60)
+        for _ in range(200):
+            with T._one_blas_thread():
+                with T._one_blas_thread():
+                    time.sleep(0)
+                    inside.append(get())
+                inside.append(get())
+
+    try:
+        put(before + 1)
+        count = get()
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(inside) == 8 * 400 and set(inside) == {1}
+        assert get() == count != 1
+    finally:
+        put(before)
 
 
 class TestLayerNorm:
